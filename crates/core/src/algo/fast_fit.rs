@@ -8,7 +8,12 @@
 //! costs one [`FitTree`] descent instead of a scan over every open
 //! bin.
 //!
-//! The tree is kept in sync with the engine purely through the
+//! A bin's leaf position is its [`BinId`] index (ids are minted in
+//! opening order, so position order is opening order); the tree is
+//! cleared between runs. Only Best Fit also keeps the ordered
+//! [`BestFitSet`]; First Fit and Worst Fit answer from the tree alone.
+//!
+//! The index is kept in sync with the engine purely through the
 //! algorithm callbacks — [`on_placed`](PackingAlgorithm::on_placed)
 //! charges the placed size against the chosen bin (or registers the
 //! fresh bin), [`on_departure`](PackingAlgorithm::on_departure) reads
@@ -22,14 +27,14 @@
 
 use super::{ArrivalView, PackingAlgorithm, Placement};
 use crate::bin::{BinId, BinSnapshot};
-use crate::fit_tree::FitTree;
+use crate::fit_tree::{BestFitSet, FitTree};
 use crate::item::ItemId;
 use crate::probe::ProbeCounter;
 use crate::tick::TickPolicy;
 use dbp_numeric::Rational;
 use std::marker::PhantomData;
 
-/// Which `FitTree` query a [`TreeFit`] instance runs per arrival.
+/// Which query a [`TreeFit`] instance runs per arrival.
 /// (`Send` because [`PackingAlgorithm`] requires it of `TreeFit`.)
 pub trait TreeRule: Send {
     /// Static display name of the resulting algorithm.
@@ -37,14 +42,13 @@ pub trait TreeRule: Send {
     /// The equivalent integer-engine policy (see
     /// [`PackingAlgorithm::tick_policy`]).
     const TICK: TickPolicy;
-    /// Selects a feasible bin for `size` (or `None` to open) plus the
-    /// number of tree nodes the query visited (probe accounting).
-    fn query_counted(tree: &FitTree, size: Rational) -> (Option<BinId>, u32);
-
-    /// Selects a feasible bin for `size`, or `None` to open.
-    fn query(tree: &FitTree, size: Rational) -> Option<BinId> {
-        Self::query_counted(tree, size).0
-    }
+    /// Whether the rule queries the [`BestFitSet`]; only then does
+    /// [`TreeFit`] maintain it.
+    const ORDERED: bool = false;
+    /// Selects a feasible leaf position for `size` (or `None` to
+    /// open) plus the number of nodes the query visited (probe
+    /// accounting). `order` is empty unless [`ORDERED`](Self::ORDERED).
+    fn query_counted(tree: &FitTree, order: &BestFitSet, size: Rational) -> (Option<usize>, u32);
 }
 
 /// First Fit rule: earliest-opened feasible bin.
@@ -54,7 +58,7 @@ pub struct EarliestFeasible;
 impl TreeRule for EarliestFeasible {
     const TICK: TickPolicy = TickPolicy::FirstFit;
     const NAME: &'static str = "FirstFitFast";
-    fn query_counted(tree: &FitTree, size: Rational) -> (Option<BinId>, u32) {
+    fn query_counted(tree: &FitTree, _: &BestFitSet, size: Rational) -> (Option<usize>, u32) {
         tree.first_fit_counted(size)
     }
 }
@@ -66,8 +70,9 @@ pub struct TightestFeasible;
 impl TreeRule for TightestFeasible {
     const TICK: TickPolicy = TickPolicy::BestFit;
     const NAME: &'static str = "BestFitFast";
-    fn query_counted(tree: &FitTree, size: Rational) -> (Option<BinId>, u32) {
-        tree.best_fit_counted(size)
+    const ORDERED: bool = true;
+    fn query_counted(_: &FitTree, order: &BestFitSet, size: Rational) -> (Option<usize>, u32) {
+        order.best_fit_counted(size)
     }
 }
 
@@ -78,7 +83,7 @@ pub struct RoomiestFeasible;
 impl TreeRule for RoomiestFeasible {
     const TICK: TickPolicy = TickPolicy::WorstFit;
     const NAME: &'static str = "WorstFitFast";
-    fn query_counted(tree: &FitTree, size: Rational) -> (Option<BinId>, u32) {
+    fn query_counted(tree: &FitTree, _: &BestFitSet, size: Rational) -> (Option<usize>, u32) {
         tree.worst_fit_counted(size)
     }
 }
@@ -87,6 +92,8 @@ impl TreeRule for RoomiestFeasible {
 #[derive(Debug, Clone, Default)]
 pub struct TreeFit<R: TreeRule> {
     tree: FitTree,
+    /// Best Fit's ordered companion; stays empty for other rules.
+    order: BestFitSet,
     /// Size of the arrival whose placement decision is in flight
     /// (set by `place`, consumed by `on_placed`).
     pending: Option<Rational>,
@@ -101,6 +108,7 @@ impl<R: TreeRule> TreeFit<R> {
     pub fn new() -> TreeFit<R> {
         TreeFit {
             tree: FitTree::new(),
+            order: BestFitSet::new(),
             pending: None,
             last_depth: 0,
             _rule: PhantomData,
@@ -120,16 +128,17 @@ impl<R: TreeRule> PackingAlgorithm for TreeFit<R> {
 
     fn reset(&mut self) {
         self.tree.clear();
+        self.order.clear();
         self.pending = None;
         self.last_depth = 0;
     }
 
     fn place(&mut self, arrival: &ArrivalView, _bins: &BinSnapshot<'_>) -> Placement {
         self.pending = Some(arrival.size);
-        let (hit, depth) = R::query_counted(&self.tree, arrival.size);
+        let (hit, depth) = R::query_counted(&self.tree, &self.order, arrival.size);
         self.last_depth = depth as u64;
         match hit {
-            Some(bin) => Placement::Existing(bin),
+            Some(pos) => Placement::Existing(BinId(pos as u32)),
             None => Placement::OpenNew,
         }
     }
@@ -140,9 +149,15 @@ impl<R: TreeRule> PackingAlgorithm for TreeFit<R> {
             .take()
             .expect("on_placed must follow a place() call");
         if new_bin {
-            self.tree.open(bin, Rational::ONE - size);
+            self.tree.open(bin.index(), Rational::ONE - size);
+            if R::ORDERED {
+                self.order.insert(bin.index(), Rational::ONE - size);
+            }
         } else {
-            self.tree.place(bin, size);
+            let old = self.tree.place(bin.index(), size);
+            if R::ORDERED {
+                self.order.update(bin.index(), old, old - size);
+            }
         }
     }
 
@@ -151,12 +166,19 @@ impl<R: TreeRule> PackingAlgorithm for TreeFit<R> {
         // new level is authoritative; if it closed, `on_bin_closed`
         // fires next and tombstones the leaf.
         if let Some(b) = bins.get(bin) {
-            self.tree.set_gap(bin, Rational::ONE - b.level);
+            let gap = Rational::ONE - b.level;
+            let old = self.tree.set_gap(bin.index(), gap);
+            if R::ORDERED {
+                self.order.update(bin.index(), old, gap);
+            }
         }
     }
 
     fn on_bin_closed(&mut self, bin: BinId, _time: Rational) {
-        self.tree.close(bin);
+        let old = self.tree.close(bin.index());
+        if R::ORDERED {
+            self.order.remove(bin.index(), old);
+        }
     }
 
     fn tick_policy(&self) -> Option<TickPolicy> {

@@ -106,7 +106,7 @@ pub use engine::{event_schedule, BinRecord, PackingEngine, PackingError, Packing
 pub use engine::{
     run_packing, run_packing_observed, run_packing_scheduled, run_packing_scheduled_observed,
 };
-pub use fit_tree::{FitTree, GapKey};
+pub use fit_tree::{BestFitSet, FitTree, GapKey};
 pub use item::{Instance, InstanceBuilder, InstanceError, InstanceStats, Item, ItemId};
 pub use observe::{EngineObserver, FanOut, NoopObserver};
 pub use probe::{EventKind, NoopProbe, Phase, PhaseProbe, ProbeCounter};

@@ -46,7 +46,7 @@
 use crate::algo::PackingAlgorithm;
 use crate::bin::BinId;
 use crate::engine::{BinRecord, PackingError, PackingOutcome};
-use crate::fit_tree::FitTree;
+use crate::fit_tree::{BestFitSet, FitTree};
 use crate::hash::BuildIdHasher;
 use crate::item::{Instance, ItemId};
 use crate::probe::{EventKind, NoopProbe, Phase, PhaseProbe, ProbeCounter};
@@ -72,6 +72,11 @@ const MAX_SCALE: i128 = u32::MAX as i128;
 /// `B = 512` (sweep table in `DESIGN.md`, "Hot path anatomy";
 /// per-slot-scan era value was 64).
 pub const SCAN_CROSSOVER: usize = 512;
+
+/// Fewest scan positions at which tree mode compacts away the
+/// tombstones of closed bins (see [`TreeScan`]). Above the floor,
+/// compaction fires once positions reach twice the open bins.
+const COMPACT_FLOOR: usize = 2 * SCAN_CROSSOVER;
 
 /// Vacant-slot / vacant-entry sentinel for bin ids. Bin ids are
 /// opening ranks bounded by the item count, which the instance
@@ -321,8 +326,22 @@ impl CompiledInstance {
         policy: TickPolicy,
         crossover: usize,
     ) -> Result<PackingOutcome, PackingError> {
+        self.run_with_index_overrides(policy, crossover, COMPACT_FLOOR)
+    }
+
+    /// Test-only: [`run_with_crossover`](Self::run_with_crossover)
+    /// with the tree-mode compaction floor overridden too, so
+    /// property tests can compact every few closes.
+    #[doc(hidden)]
+    pub fn run_with_index_overrides(
+        &self,
+        policy: TickPolicy,
+        crossover: usize,
+        floor: usize,
+    ) -> Result<PackingOutcome, PackingError> {
         let mut engine = TickEngine::new(self, policy);
         engine.set_scan_crossover(crossover);
+        engine.set_compaction_floor(floor);
         self.replay(engine, policy, &mut NoopProbe)
     }
 
@@ -509,10 +528,10 @@ const DENSE_ID_LIMIT: usize = 1 << 20;
 /// How a [`TickEngine`] answers placement queries. Starts [`Linear`]
 /// and switches permanently to [`Tree`] the first time the open-bin
 /// count exceeds the scan crossover — gaps and slots are carried by
-/// the linear arrays, so the [`FitTree`] and its id→slot map are
-/// rebuilt deterministically at the switch. Both modes implement the
-/// exact same selection and tie-break rules, so the mode is invisible
-/// in outcomes.
+/// the linear arrays, so the [`TreeScan`] is rebuilt
+/// deterministically at the switch. Both modes implement the exact
+/// same selection and tie-break rules, so the mode is invisible in
+/// outcomes.
 ///
 /// [`Linear`]: ScanMode::Linear
 /// [`Tree`]: ScanMode::Tree
@@ -521,7 +540,7 @@ enum ScanMode {
     /// Sweep the open bins in id order through [`crate::scan`].
     Linear(LinearScan),
     /// Query the [`FitTree`] (`O(log B)` descents).
-    Tree,
+    Tree(TreeScan),
 }
 
 /// Parallel arrays over the open bins in opening (id) order — the
@@ -539,6 +558,121 @@ struct LinearScan {
     slots: Vec<u32>,
 }
 
+/// Tree mode's state. Leaves of the max-gap [`FitTree`] are **scan
+/// positions**: each opened bin takes the next position, so position
+/// order is opening order and the tree's leftmost-feasible descent is
+/// exactly First Fit. Keys are `gap + 1`, with `0` tombstoning closed
+/// bins. Two plain arrays translate between positions and the
+/// [`BinStore`]: `leaves` (position → bin id and slot) and `pos_of`
+/// (slot → position).
+///
+/// Tombstones are dropped by [`compact`](Self::compact) once
+/// positions reach `max(2·open, floor)`. Each compaction is one
+/// in-order pass over the positions, paid for by the at least
+/// `positions / 2` closes since the last one, so it costs amortized
+/// `O(1)` per close and holds the index within about twice peak open
+/// bins, however many bins a long-lived stream opens.
+#[derive(Debug, Clone)]
+struct TreeScan {
+    tree: FitTree<u64>,
+    /// Best Fit only: the live positions ordered by `(key, position)`.
+    order: Option<BestFitSet<u64>>,
+    /// Position → `(bin id, store slot)`. Entries of closed bins are
+    /// stale until the next compaction drops them.
+    leaves: Vec<(u32, u32)>,
+    /// Store slot → position of the bin occupying it.
+    pos_of: Vec<u32>,
+    /// Compaction floor ([`COMPACT_FLOOR`] unless a test lowers it).
+    floor: usize,
+}
+
+impl TreeScan {
+    /// Builds the index over the linear mode's open bins, keeping
+    /// their (opening) order.
+    fn from_linear(lin: &LinearScan, policy: TickPolicy, floor: usize) -> TreeScan {
+        let mut scan = TreeScan {
+            tree: FitTree::new(),
+            order: (policy == TickPolicy::BestFit).then(BestFitSet::new),
+            leaves: Vec::with_capacity(lin.ids.len()),
+            pos_of: Vec::new(),
+            floor,
+        };
+        for ((&id, &slot), &gap) in lin.ids.iter().zip(&lin.slots).zip(&lin.gaps) {
+            scan.push(id, slot, gap + 1);
+        }
+        scan
+    }
+
+    /// Gives a freshly opened bin the next position.
+    fn push(&mut self, id: u32, slot: u32, key: u64) {
+        let pos = self.leaves.len();
+        self.leaves.push((id, slot));
+        let s = slot as usize;
+        if s >= self.pos_of.len() {
+            self.pos_of.resize(s + 1, VACANT);
+        }
+        self.pos_of[s] = pos as u32;
+        self.tree.open(pos, key);
+        if let Some(order) = &mut self.order {
+            order.insert(pos, key);
+        }
+    }
+
+    /// Registers a freshly opened bin, compacting first when the
+    /// positions have reached `max(2·open, floor)`.
+    fn open(&mut self, id: u32, slot: u32, key: u64, open: usize) {
+        if self.leaves.len() >= (2 * open).max(self.floor) {
+            self.compact();
+        }
+        self.push(id, slot, key);
+    }
+
+    /// The policy's pick for a shifted size key, plus the descent
+    /// depth.
+    fn query(&self, policy: TickPolicy, key: u64) -> (Option<usize>, u32) {
+        match policy {
+            TickPolicy::FirstFit => self.tree.first_fit_counted(key),
+            TickPolicy::WorstFit => self.tree.worst_fit_counted(key),
+            TickPolicy::BestFit => self
+                .order
+                .as_ref()
+                .expect("Best Fit keeps its ordered set")
+                .best_fit_counted(key),
+        }
+    }
+
+    /// Sets the key of a live position.
+    fn set(&mut self, pos: usize, key: u64) {
+        let old = self.tree.set_gap(pos, key);
+        if let Some(order) = &mut self.order {
+            order.update(pos, old, key);
+        }
+    }
+
+    /// Tombstones a closed bin's position.
+    fn close(&mut self, pos: usize) {
+        let old = self.tree.close(pos);
+        if let Some(order) = &mut self.order {
+            order.remove(pos, old);
+        }
+    }
+
+    /// Drops every tombstone in one in-order pass, renumbering the
+    /// live positions `0..open` without changing their order.
+    fn compact(&mut self) {
+        let (leaves, pos_of) = (&mut self.leaves, &mut self.pos_of);
+        self.tree.compact(|old, new| {
+            leaves[new] = leaves[old];
+            pos_of[leaves[new].1 as usize] = new as u32;
+        });
+        leaves.truncate(self.tree.len());
+        if let Some(order) = &mut self.order {
+            let tree = &self.tree;
+            order.rebuild((0..tree.len()).map(|pos| (pos, tree.gap(pos).expect("compacted"))));
+        }
+    }
+}
+
 /// The integer-arithmetic twin of [`crate::engine::PackingEngine`].
 ///
 /// Mirrors the exact engine's semantics — duplicate and feasibility
@@ -548,10 +682,10 @@ struct LinearScan {
 /// slot-recycled `BinStore` arrays, the active set in an `O(1)`
 /// `ActiveSet` slot map, and placement queries on a dense gap
 /// slice via the chunked [`crate::scan`] sweeps while few bins are
-/// open, or on a [`FitTree`] over `u64` keys (`gap + 1`, `0`
-/// tombstoning closed bins) above [`SCAN_CROSSOVER`]. Conversion
-/// back to exact [`Rational`]s happens once, in
-/// [`finish`](Self::finish).
+/// open, or on a compacting [`FitTree`] over scan positions and
+/// `u64` keys (`gap + 1`, `0` tombstoning closed bins) above
+/// [`SCAN_CROSSOVER`]. Conversion back to exact [`Rational`]s
+/// happens once, in [`finish`](Self::finish).
 #[derive(Debug, Clone)]
 pub struct TickEngine {
     policy: TickPolicy,
@@ -573,14 +707,12 @@ pub struct TickEngine {
     active_count: usize,
     assignments: Vec<(ItemId, BinId)>,
     scan: ScanMode,
-    /// Placement index; empty until `scan` switches to `Tree`.
-    tree: FitTree<u64>,
-    /// Bin id → store slot; maintained only in tree mode (linear mode
-    /// carries slots in its own arrays).
-    tree_slots: HashMap<u32, u32, BuildIdHasher>,
     /// Open-bin count above which the scan promotes to the tree
     /// ([`SCAN_CROSSOVER`] unless a test overrides it).
     crossover: usize,
+    /// Tree mode's compaction floor ([`COMPACT_FLOOR`] unless a test
+    /// lowers it).
+    compact_floor: usize,
     now: Option<u64>,
     max_open: usize,
     /// Current total level across open bins, in units.
@@ -642,9 +774,8 @@ impl TickEngine {
             active_count: 0,
             assignments: Vec::new(),
             scan: ScanMode::Linear(LinearScan::default()),
-            tree: FitTree::new(),
-            tree_slots: HashMap::default(),
             crossover: SCAN_CROSSOVER,
+            compact_floor: COMPACT_FLOOR,
             now: None,
             max_open: 0,
             level_total: 0,
@@ -657,6 +788,17 @@ impl TickEngine {
     #[doc(hidden)]
     pub fn set_scan_crossover(&mut self, crossover: usize) {
         self.crossover = crossover;
+    }
+
+    /// Test-only override of the tree-mode compaction floor, so
+    /// property tests can compact every few closes on small
+    /// instances.
+    #[doc(hidden)]
+    pub fn set_compaction_floor(&mut self, floor: usize) {
+        self.compact_floor = floor;
+        if let ScanMode::Tree(tree) = &mut self.scan {
+            tree.floor = floor;
+        }
     }
 
     /// Converts a tick back to the exact original timestamp.
@@ -842,19 +984,13 @@ impl TickEngine {
         }
     }
 
-    /// One-way switch from the linear sweep to the [`FitTree`]: the
-    /// index and the id→slot map are rebuilt from the linear arrays
-    /// (which fully determine them), and every later query descends
-    /// the tree.
+    /// One-way switch from the linear sweep to the [`TreeScan`],
+    /// rebuilt from the linear arrays (which fully determine it);
+    /// every later query descends the tree.
     fn promote_to_tree(&mut self) {
-        let ScanMode::Linear(lin) = std::mem::replace(&mut self.scan, ScanMode::Tree) else {
-            return;
-        };
-        self.tree.clear();
-        self.tree_slots.clear();
-        for ((&id, &slot), &gap) in lin.ids.iter().zip(&lin.slots).zip(&lin.gaps) {
-            self.tree.open(BinId(id), gap + 1);
-            self.tree_slots.insert(id, slot);
+        if let ScanMode::Linear(lin) = &self.scan {
+            let tree = TreeScan::from_linear(lin, self.policy, self.compact_floor);
+            self.scan = ScanMode::Tree(tree);
         }
     }
 
@@ -924,7 +1060,7 @@ impl TickEngine {
             return Err(PackingError::DuplicateItem(item));
         }
         probe.enter(Phase::FitScan);
-        // A hit resolves to (bin id, store slot, linear position).
+        // A hit resolves to (bin id, store slot, scan position).
         let chosen = match &self.scan {
             ScanMode::Linear(lin) => {
                 let hit = match self.policy {
@@ -945,21 +1081,14 @@ impl TickEngine {
             // Shifted-key queries: stored keys are `gap + 1`, so
             // probe with `size + 1`; sizes are ≥ 1, so the probe is
             // ≥ 2 and can never match a tombstone.
-            ScanMode::Tree => {
-                let (hit, depth) = match self.policy {
-                    TickPolicy::FirstFit => self.tree.first_fit_counted(size + 1),
-                    TickPolicy::BestFit => self.tree.best_fit_counted(size + 1),
-                    TickPolicy::WorstFit => self.tree.worst_fit_counted(size + 1),
-                };
+            ScanMode::Tree(tree) => {
+                let (hit, depth) = tree.query(self.policy, size + 1);
                 if probe.is_active() {
                     probe.count(ProbeCounter::TreeDepth, depth as u64);
                 }
-                hit.map(|bin_id| {
-                    let slot = *self
-                        .tree_slots
-                        .get(&bin_id.0)
-                        .expect("tree hit resolves to a live slot");
-                    (bin_id.0, slot, usize::MAX)
+                hit.map(|pos| {
+                    let (id, slot) = tree.leaves[pos];
+                    (id, slot, pos)
                 })
             }
         };
@@ -986,7 +1115,7 @@ impl TickEngine {
                 probe.enter(Phase::TreeSync);
                 match &mut self.scan {
                     ScanMode::Linear(lin) => lin.gaps[pos] -= size,
-                    ScanMode::Tree => self.tree.place(BinId(id), size),
+                    ScanMode::Tree(tree) => tree.set(pos, self.capacity - level + 1),
                 }
                 probe.exit(Phase::TreeSync);
                 (BinId(id), slot)
@@ -1007,9 +1136,8 @@ impl TickEngine {
                         lin.slots.push(slot);
                         self.open_count > self.crossover
                     }
-                    ScanMode::Tree => {
-                        self.tree.open(BinId(id), self.capacity - size + 1);
-                        self.tree_slots.insert(id, slot);
+                    ScanMode::Tree(tree) => {
+                        tree.open(id, slot, self.capacity - size + 1, self.open_count);
                         false
                     }
                 };
@@ -1128,13 +1256,12 @@ impl TickEngine {
                     lin.gaps[at] += entry.units;
                 }
             }
-            ScanMode::Tree => {
+            ScanMode::Tree(tree) => {
+                let pos = tree.pos_of[s] as usize;
                 if closed_now {
-                    self.tree.close(BinId(entry.bin));
-                    self.tree_slots.remove(&entry.bin);
+                    tree.close(pos);
                 } else {
-                    self.tree
-                        .set_gap(BinId(entry.bin), self.capacity - self.store.levels[s] + 1);
+                    tree.set(pos, self.capacity - self.store.levels[s] + 1);
                 }
             }
         }
@@ -1626,6 +1753,49 @@ mod tests {
         // number of bins ever opened.
         assert_eq!(eng.slot_capacity(), eng.peak_open_bins());
         // Drain and finish; the outcome still reports every bin.
+        for i in (CYCLES - WIDTH)..CYCLES {
+            eng.depart(ItemId(i), u64::from(CYCLES)).unwrap();
+        }
+        let out = eng.finish("FirstFit").unwrap();
+        assert_eq!(out.bins_opened(), CYCLES as usize);
+    }
+
+    /// Tree-mode sibling of the soak above: a live window wider than
+    /// [`SCAN_CROSSOVER`] keeps the engine in tree mode while 100k
+    /// bins open and close. Compaction must hold the index's leaf
+    /// count within `2·peak_open_bins + COMPACT_FLOOR` throughout —
+    /// without it there would be one leaf per bin ever opened.
+    #[test]
+    fn compaction_keeps_tree_index_flat() {
+        const CYCLES: u32 = 100_000;
+        const WIDTH: u32 = SCAN_CROSSOVER as u32 + 88;
+        let mut eng = TickEngine::with_grid(TickPolicy::FirstFit, Rational::ZERO, 1, 100);
+        // Tree-mode leaves, tombstones of not-yet-compacted bins
+        // included.
+        let leaves = |eng: &TickEngine| match &eng.scan {
+            ScanMode::Linear(lin) => lin.gaps.len(),
+            ScanMode::Tree(tree) => tree.leaves.len(),
+        };
+        let mut max_leaves = 0;
+        for i in 0..CYCLES {
+            let tick = u64::from(i);
+            eng.arrive(ItemId(i), 51, tick).unwrap();
+            if i >= WIDTH {
+                eng.depart(ItemId(i - WIDTH), tick).unwrap();
+            }
+            max_leaves = max_leaves.max(leaves(&eng));
+        }
+        assert!(
+            matches!(eng.scan, ScanMode::Tree(_)),
+            "must run in tree mode"
+        );
+        assert_eq!(eng.bins_opened(), CYCLES as usize);
+        assert_eq!(eng.peak_open_bins(), WIDTH as usize + 1);
+        assert!(
+            max_leaves <= 2 * eng.peak_open_bins() + COMPACT_FLOOR,
+            "index grew to {max_leaves} leaves"
+        );
+        assert_eq!(eng.slot_capacity(), eng.peak_open_bins());
         for i in (CYCLES - WIDTH)..CYCLES {
             eng.depart(ItemId(i), u64::from(CYCLES)).unwrap();
         }

@@ -89,9 +89,23 @@ fn replay_per_event(
     policy: TickPolicy,
     crossover: Option<usize>,
 ) -> Result<PackingOutcome, PackingError> {
+    replay_per_event_tuned(compiled, policy, crossover, None)
+}
+
+/// [`replay_per_event`] with the tree-mode compaction floor
+/// overridden too.
+fn replay_per_event_tuned(
+    compiled: &CompiledInstance,
+    policy: TickPolicy,
+    crossover: Option<usize>,
+    floor: Option<usize>,
+) -> Result<PackingOutcome, PackingError> {
     let mut eng = TickEngine::new(compiled, policy);
     if let Some(c) = crossover {
         eng.set_scan_crossover(c);
+    }
+    if let Some(f) = floor {
+        eng.set_compaction_floor(f);
     }
     let items = compiled.items();
     for ev in compiled.schedule() {
@@ -350,6 +364,121 @@ proptest! {
         prop_assert!(expected_kind, "unexpected error kind: {:?}", lin_err);
     }
 
+    /// Tree mode with a tiny compaction floor renumbers its scan
+    /// positions every few closes; batched and per-event forced-tree
+    /// replays must still equal the all-linear replay bit for bit,
+    /// for all three policies — on mixed grids, on equal-tick bursts,
+    /// and on overflow bursts where compaction fires mid-burst.
+    #[test]
+    fn tree_compaction_is_invisible_in_outcomes(
+        mixed in instance_strategy(),
+        bursts in burst_strategy(),
+        overflow in overflow_burst_strategy(),
+        floor in 0usize..=6,
+    ) {
+        for inst in [&mixed, &bursts, &overflow] {
+            let compiled = CompiledInstance::compile(inst).expect("strategy instances compile");
+            for policy in [TickPolicy::FirstFit, TickPolicy::BestFit, TickPolicy::WorstFit] {
+                let linear = compiled
+                    .run_with_crossover(policy, usize::MAX)
+                    .expect("linear run succeeds");
+                let batched = compiled
+                    .run_with_index_overrides(policy, 0, floor)
+                    .expect("compacting tree run succeeds");
+                let stepped = replay_per_event_tuned(&compiled, policy, Some(0), Some(floor))
+                    .expect("per-event compacting tree run succeeds");
+                prop_assert_eq!(
+                    &batched,
+                    &linear,
+                    "{} compacting tree diverged at floor {}",
+                    policy.name(),
+                    floor
+                );
+                prop_assert_eq!(
+                    &stepped,
+                    &linear,
+                    "{} per-event compacting tree diverged at floor {}",
+                    policy.name(),
+                    floor
+                );
+            }
+        }
+    }
+
+    /// Faults injected after a valid prefix surface the same error
+    /// from a forced-linear engine and a forced-tree engine that
+    /// compacts every few closes, for all three policies; both
+    /// engines then finish the prefix's survivors identically.
+    #[test]
+    fn tree_compaction_errors_match_linear(
+        inst in burst_strategy(),
+        cut in 0usize..=60,
+        fault in 0u8..3,
+        floor in 0usize..=4,
+    ) {
+        let compiled = CompiledInstance::compile(&inst).expect("burst instances compile");
+        let items = compiled.items();
+        let schedule = compiled.schedule();
+        let cut = cut.min(schedule.len());
+        for policy in [TickPolicy::FirstFit, TickPolicy::BestFit, TickPolicy::WorstFit] {
+            let mut linear = TickEngine::new(&compiled, policy);
+            linear.set_scan_crossover(usize::MAX);
+            let mut tree = TickEngine::new(&compiled, policy);
+            tree.set_scan_crossover(0);
+            tree.set_compaction_floor(floor);
+            let mut active: Vec<ItemId> = Vec::new();
+            let mut last_tick = 0u64;
+            for ev in &schedule[..cut] {
+                match ev.class {
+                    EventClass::Arrival => {
+                        let size = items[ev.item.index()].size;
+                        let a = linear.arrive(ev.item, size, ev.tick).expect("valid prefix");
+                        let b = tree.arrive(ev.item, size, ev.tick).expect("valid prefix");
+                        prop_assert_eq!(a, b, "{} placement drift", policy.name());
+                        active.push(ev.item);
+                    }
+                    EventClass::Departure => {
+                        let a = linear.depart(ev.item, ev.tick).expect("valid prefix");
+                        let b = tree.depart(ev.item, ev.tick).expect("valid prefix");
+                        prop_assert_eq!(a, b, "{} departure drift", policy.name());
+                        active.retain(|&i| i != ev.item);
+                    }
+                    EventClass::Control => {}
+                }
+                last_tick = ev.tick;
+            }
+            let fresh = ItemId(compiled.len() as u32 + 7);
+            let (lin_err, tree_err) = match fault {
+                0 if !active.is_empty() => {
+                    let dup = active[0];
+                    (
+                        linear.arrive(dup, 1, last_tick).unwrap_err(),
+                        tree.arrive(dup, 1, last_tick).unwrap_err(),
+                    )
+                }
+                2 if last_tick > 0 => (
+                    linear.arrive(fresh, 1, last_tick - 1).unwrap_err(),
+                    tree.arrive(fresh, 1, last_tick - 1).unwrap_err(),
+                ),
+                _ => (
+                    linear.depart(fresh, last_tick).unwrap_err(),
+                    tree.depart(fresh, last_tick).unwrap_err(),
+                ),
+            };
+            prop_assert_eq!(&lin_err, &tree_err, "{} scan modes disagreed on the error", policy.name());
+            // Rejected events leave both engines untouched: draining
+            // the survivors must finish identically.
+            for &item in &active {
+                linear.depart(item, last_tick).expect("survivor departs");
+                tree.depart(item, last_tick).expect("survivor departs");
+            }
+            prop_assert_eq!(
+                linear.finish(policy.name()).expect("linear finishes"),
+                tree.finish(policy.name()).expect("tree finishes")
+            );
+        }
+    }
+
     /// `run_packing_auto` on compilable instances takes the tick path
     /// and still equals the reference exactly.
     #[test]
@@ -386,4 +515,36 @@ fn staircase_tick_equivalence_at_scale() {
     let exact = Runner::new(&inst).run(&mut FirstFit::new()).unwrap();
     assert_eq!(tick, exact);
     assert!(tick.max_open_bins() >= window as usize / 2);
+}
+
+/// The 1500-item staircase (hundreds of bins open at once, constant
+/// churn) through a forced-tree engine that compacts every few
+/// closes: bit-identical to the all-linear replay for all three
+/// policies.
+#[test]
+fn staircase_compacting_tree_matches_linear() {
+    let n: i128 = 1500;
+    let window: i128 = 300;
+    let mut b = Instance::builder();
+    for i in 0..n {
+        let size = if i % 5 == 0 {
+            rat(11 + (i * 13) % 23, 100)
+        } else {
+            rat(51 + (i * 7) % 49, 100)
+        };
+        b = b.item(size, rat(i, 1), rat(i + window, 1));
+    }
+    let inst = b.build().unwrap();
+    let compiled = CompiledInstance::compile(&inst).unwrap();
+    for policy in [
+        TickPolicy::FirstFit,
+        TickPolicy::BestFit,
+        TickPolicy::WorstFit,
+    ] {
+        let linear = compiled.run_with_crossover(policy, usize::MAX).unwrap();
+        for floor in [0, 8] {
+            let tree = compiled.run_with_index_overrides(policy, 0, floor).unwrap();
+            assert_eq!(tree, linear, "{} diverged at floor {floor}", policy.name());
+        }
+    }
 }

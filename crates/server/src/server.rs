@@ -1,9 +1,10 @@
 //! The allocation daemon: accept loop, connection handling, tenant
 //! registry, and the merged exposition page.
 //!
-//! The accept loop follows the `MetricsServer` pattern — a
-//! non-blocking `TcpListener` polled against a stop flag — but every
-//! accepted connection gets its own thread speaking the
+//! The accept loop blocks in `accept` and checks a stop flag after
+//! every connection; whoever sets the flag (`stop`, a wire
+//! `shutdown`) wakes it with one connection to the listener itself.
+//! Every accepted connection gets its own thread speaking the
 //! length-prefixed [`dbp_proto`] protocol. Connections are stateless
 //! beyond "which tenant am I attached to": all tenant state lives in
 //! the shared registry, so many connections can drive one tenant and
@@ -20,7 +21,7 @@ use dbp_proto::{
 };
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -131,6 +132,9 @@ struct Shared {
     config: ServerConfig,
     tenants: Mutex<HashMap<String, Arc<Mutex<Option<Tenant>>>>>,
     stop: AtomicBool,
+    /// Where a self-connection reaches the wire listener (the bound
+    /// address, loopback if it was bound to all interfaces).
+    wake_addr: SocketAddr,
     /// Live client connections, so `stop` can unblock their reads.
     conns: Mutex<Vec<TcpStream>>,
     /// Exposition page (shared with the `MetricsServer` thread).
@@ -184,6 +188,14 @@ impl Shared {
         *page.lock().unwrap() = fresh;
     }
 
+    /// Sets the stop flag and wakes the accept loop, which is parked
+    /// in a blocking `accept`, with one connection to the listener.
+    /// Harmless if the loop has already exited.
+    fn request_stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+    }
+
     fn count_events(&self, n: u64) {
         self.events_total.fetch_add(n, Ordering::Relaxed);
         let since = self.since_publish.fetch_add(n, Ordering::Relaxed) + n;
@@ -218,8 +230,14 @@ impl DbpServer {
     /// tenant from `config.journal_dir`, and starts serving.
     pub fn start(config: ServerConfig) -> Result<DbpServer, ServerError> {
         let listener = TcpListener::bind(&config.listen).map_err(ServerError::Io)?;
-        listener.set_nonblocking(true).map_err(ServerError::Io)?;
         let addr = listener.local_addr().map_err(ServerError::Io)?;
+        let mut wake_addr = addr;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match addr {
+                SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
+            });
+        }
 
         let metrics_server = match &config.metrics {
             Some(addr) => Some(MetricsServer::start(addr.as_str()).map_err(ServerError::Io)?),
@@ -253,6 +271,7 @@ impl DbpServer {
             config,
             tenants: Mutex::new(tenants),
             stop: AtomicBool::new(false),
+            wake_addr,
             conns: Mutex::new(Vec::new()),
             page,
             origin: Instant::now(),
@@ -318,11 +337,11 @@ impl DbpServer {
     }
 
     fn shutdown(&mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
-        for conn in self.shared.conns.lock().unwrap().drain(..) {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
-        }
         if let Some(handle) = self.accept_handle.take() {
+            self.shared.request_stop();
+            for conn in self.shared.conns.lock().unwrap().drain(..) {
+                let _ = conn.shutdown(std::net::Shutdown::Both);
+            }
             let _ = handle.join();
         }
         if let Some(server) = self.metrics_server.take() {
@@ -361,8 +380,14 @@ impl Drop for DbpServer {
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.stop.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // A stop request's wake-up connection (or any connection that
+        // raced it) lands here after the flag is set: drop it.
+        if shared.stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 // The connection ordinal doubles as the Chrome track id
                 // for this connection's slow-request spans.
@@ -380,9 +405,6 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                     workers.push(handle);
                 }
                 workers.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
             }
             Err(_) => break,
         }
@@ -775,7 +797,7 @@ fn handle_shutdown(
     match shared.config.auth.check_shutdown(token) {
         Ok(()) => {
             send(writer, out, &Response::Shutdown, trace)?;
-            shared.stop.store(true, Ordering::Relaxed);
+            shared.request_stop();
             Ok(())
         }
         Err(e) => {

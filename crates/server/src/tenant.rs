@@ -212,6 +212,11 @@ impl Tenant {
                 ));
             }
         }
+        // Both count quotas read the session's live metrics; with
+        // neither configured, skip that read and the arrival count.
+        if self.quotas.max_active_items.is_none() && self.quotas.max_open_bins.is_none() {
+            return Ok(());
+        }
         let arrivals = events.iter().filter(|e| e.is_arrival()).count() as u64;
         if arrivals > 0 {
             let metrics = self.metrics();
@@ -455,5 +460,103 @@ impl Tenant {
             let _ = journal.remove();
         }
         Ok(outcomes)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dbp_numeric::rat;
+    use dbp_proto::ItemId;
+
+    fn tenant(quotas: Quotas) -> Tenant {
+        let mut hello = Hello::new("t", "firstfit");
+        hello.journal = false;
+        Tenant::create(&hello, quotas, None).unwrap()
+    }
+
+    /// Item `id` (size `size/8`) arrives at time `id`.
+    fn arrive(id: u32, size: i128) -> Event {
+        Event::Arrive {
+            id: ItemId(id),
+            size: rat(size, 8),
+            time: rat(id as i128, 1),
+        }
+    }
+
+    fn span() -> RequestSpan {
+        RequestSpan::new("event", 1, None, 0)
+    }
+
+    /// The refusal a request got, or `None` if it was admitted.
+    fn refusal(result: Result<impl Sized, ServerError>) -> Option<String> {
+        match result {
+            Ok(_) => None,
+            Err(ServerError::Wire(e)) => {
+                assert_eq!(e.kind, ErrorKind::Quota, "{e}");
+                Some(e.message)
+            }
+            Err(ServerError::Io(e)) => panic!("unexpected I/O error: {e}"),
+        }
+    }
+
+    #[test]
+    fn active_items_quota_refuses_at_the_cap() {
+        let mut t = tenant(Quotas {
+            max_active_items: Some(3),
+            ..Quotas::unlimited()
+        });
+        for id in 0..3 {
+            assert_eq!(refusal(t.apply(&arrive(id, 1), &mut span())), None);
+        }
+        assert_eq!(
+            refusal(t.apply(&arrive(3, 1), &mut span())).as_deref(),
+            Some("active-items quota exceeded (3 in flight + 1 arriving > limit 3)")
+        );
+        // Departures are never refused, and free room for arrivals.
+        let depart = Event::Depart {
+            id: ItemId(0),
+            time: rat(3, 1),
+        };
+        assert_eq!(refusal(t.apply(&depart, &mut span())), None);
+        // A batch is admitted as a whole or not at all.
+        let pair = [arrive(3, 1), arrive(4, 1)];
+        assert_eq!(
+            refusal(t.batch(&pair, &mut span())).as_deref(),
+            Some("active-items quota exceeded (2 in flight + 2 arriving > limit 3)")
+        );
+        assert_eq!(refusal(t.batch(&pair[..1], &mut span())), None);
+        assert_eq!(t.metrics().active_items, 3);
+        assert_eq!(t.accepted(), 5);
+    }
+
+    #[test]
+    fn open_bins_quota_refuses_at_the_cap() {
+        let mut t = tenant(Quotas {
+            max_open_bins: Some(2),
+            ..Quotas::unlimited()
+        });
+        // 5/8-size items cannot share a bin: one bin each.
+        assert_eq!(refusal(t.apply(&arrive(0, 5), &mut span())), None);
+        assert_eq!(refusal(t.apply(&arrive(1, 5), &mut span())), None);
+        // Conservative: refused at the cap even though this arrival
+        // would fit an open bin.
+        assert_eq!(
+            refusal(t.apply(&arrive(2, 1), &mut span())).as_deref(),
+            Some("open-bins quota exceeded (2 open + up to 1 new > limit 2)")
+        );
+        assert_eq!(t.metrics().open_bins, 2);
+        assert_eq!(t.metrics().active_items, 2);
+    }
+
+    #[test]
+    fn rate_only_quotas_skip_the_count_checks() {
+        let mut t = tenant(Quotas {
+            max_events_per_sec: Some(1_000_000),
+            ..Quotas::unlimited()
+        });
+        let batch: Vec<Event> = (0..64).map(|id| arrive(id, 5)).collect();
+        assert_eq!(refusal(t.batch(&batch, &mut span())), None);
+        assert_eq!(t.metrics().open_bins, 64);
     }
 }

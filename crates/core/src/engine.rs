@@ -49,6 +49,13 @@ pub enum PackingError {
     },
     /// [`PackingEngine::finish`] was called while items are active.
     ItemsStillActive(usize),
+    /// An item's size lies outside `(0, 1]`.
+    InvalidSize {
+        /// Offending item.
+        item: ItemId,
+        /// Its size (as a fraction of the bin capacity).
+        size: Rational,
+    },
 }
 
 impl fmt::Display for PackingError {
@@ -66,6 +73,9 @@ impl fmt::Display for PackingError {
             }
             PackingError::ItemsStillActive(n) => {
                 write!(f, "finish() with {n} items still active")
+            }
+            PackingError::InvalidSize { item, size } => {
+                write!(f, "item {item} has size {size}, outside (0, 1]")
             }
         }
     }

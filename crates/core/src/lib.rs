@@ -116,9 +116,7 @@ pub use session::{
 };
 #[allow(deprecated)] // compat re-export; gone next release
 pub use tick::run_packing_auto;
-pub use tick::{
-    run_packing_compiled, CompileError, CompiledInstance, TickEngine, TickPolicy, SCAN_CROSSOVER,
-};
+pub use tick::{CompileError, CompiledInstance, TickEngine, TickPolicy, SCAN_CROSSOVER};
 
 /// One-stop imports for downstream crates and examples.
 pub mod prelude {

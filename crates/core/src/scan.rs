@@ -2,8 +2,10 @@
 //!
 //! Below its scan crossover the [`crate::tick::TickEngine`] answers
 //! placement queries by sweeping a dense `Vec<u64>` of residual gaps
-//! (one entry per open bin, in opening order — see the engine's SoA
-//! layout). These sweeps are written to autovectorize on stable Rust
+//! (one entry per open bin, in opening order), kept by the linear
+//! scan mode apart from the engine's per-bin records so the sweep
+//! reads 8 contiguous bytes per bin. These sweeps are written to
+//! autovectorize on stable Rust
 //! with no intrinsics: the slice is walked in fixed-width
 //! [`LANES`]-wide chunks whose inner loops are branchless reductions
 //! (an any-feasible OR for First Fit, a masked min for Best Fit, a

@@ -27,9 +27,11 @@
 //! the `*Fast` tree algorithms.
 //!
 //! The engine itself is data-oriented (see `DESIGN.md`, "Hot path
-//! anatomy"): live bin state lives in a slot-recycled
-//! structure-of-arrays `BinStore`, placement queries below the scan
-//! crossover sweep a dense gap array through the vectorized
+//! anatomy"): each open bin's books fill one 64-byte record in a
+//! slot-recycled `BinStore` (item lists are rebuilt from the
+//! placement log only when the outcome is reported), placement
+//! queries below the scan crossover sweep a dense gap array through
+//! the vectorized
 //! [`crate::scan`] kernels, the active set is an `O(1)` slot map
 //! (dense for compiled replays, hashed for streaming sessions), and
 //! [`CompiledInstance::run`] applies the pre-sorted schedule in
@@ -78,9 +80,9 @@ pub const SCAN_CROSSOVER: usize = 512;
 /// compaction fires once positions reach twice the open bins.
 const COMPACT_FLOOR: usize = 2 * SCAN_CROSSOVER;
 
-/// Vacant-slot / vacant-entry sentinel for bin ids. Bin ids are
-/// opening ranks bounded by the item count, which the instance
-/// validation caps well below `u32::MAX`.
+/// Sentinel for a vacant slot's bin id and an unset tree position.
+/// Bin ids are opening ranks bounded by the item count, which the
+/// instance validation caps well below `u32::MAX`.
 const VACANT: u32 = u32::MAX;
 
 /// Why an instance could not be rescaled to tick space. Every variant
@@ -380,122 +382,131 @@ impl CompiledInstance {
     }
 }
 
-/// Structure-of-arrays store of live bin state, indexed by *slot*.
+/// One open bin's books: everything an event reads or writes about
+/// the bin, in one 64-byte record, so an arrival or departure touches
+/// one cache line of bin state. The item list is not kept here: it
+/// matters only when the outcome is reported, and
+/// [`item_lists`] rebuilds it from the placement log.
+#[derive(Debug, Clone, Copy)]
+#[repr(align(64))]
+struct BinSlot {
+    /// Current level in units.
+    level: u64,
+    /// Opening tick.
+    opened: u64,
+    /// Tick of the last level change (integral bookkeeping).
+    last_change: u64,
+    /// Peak level in units.
+    peak: u64,
+    /// `Σ level·Δticks` accrued so far.
+    integral: u128,
+    /// Bin id occupying the slot ([`VACANT`] when free).
+    id: u32,
+    /// Active item count.
+    count: u32,
+    /// Tree mode: the bin's scan position (see [`TreeScan`]).
+    pos: u32,
+}
+
+impl BinSlot {
+    /// Accrues the level integral up to `tick`. Same
+    /// zero-length-interval skip as the Rational engine — here it
+    /// saves a `u128` multiply instead of two gcds.
+    #[inline]
+    fn advance_clock(&mut self, tick: u64) {
+        if tick != self.last_change {
+            self.integral += self.level as u128 * (tick - self.last_change) as u128;
+            self.last_change = tick;
+        }
+    }
+}
+
+/// Live bin state, one [`BinSlot`] per *slot*.
 ///
-/// Slots are recycled through a free list when bins close, so every
-/// array is bounded by the **peak** number of simultaneously open
-/// bins — a long-running streaming session no longer accretes a hole
-/// per closed bin the way the old `Vec<Option<TickLive>>` did. Bin
-/// *ids* (opening ranks; monotone, never reused) are data here, not
-/// indices: `ids[slot]` names the bin currently occupying a slot,
-/// [`VACANT`] marks a free one.
+/// Slots are recycled through a free list when bins close, so the
+/// store is bounded by the **peak** number of simultaneously open
+/// bins, however many bins a long-running session opens. Bin *ids*
+/// (opening ranks; monotone, never reused) are data here, not
+/// indices.
 #[derive(Debug, Clone, Default)]
 struct BinStore {
-    /// Bin id occupying each slot ([`VACANT`] when free).
-    ids: Vec<u32>,
-    /// Current level in units.
-    levels: Vec<u64>,
-    /// Active item count.
-    counts: Vec<u32>,
-    /// Opening tick.
-    opened: Vec<u64>,
-    /// Tick of the last level change (integral bookkeeping).
-    last_change: Vec<u64>,
-    /// `Σ level·Δticks` accrued so far.
-    integrals: Vec<u128>,
-    /// Peak level in units.
-    peaks: Vec<u64>,
-    /// Item log, arrivals in placement order (moved into the bin's
-    /// [`TickRecord`] on close).
-    items: Vec<Vec<ItemId>>,
+    bins: Vec<BinSlot>,
     /// Recycled slots of closed bins.
     free: Vec<u32>,
 }
 
 impl BinStore {
-    /// Opens a bin with one item: recycles a free slot or grows every
-    /// array by one. Returns the slot.
-    fn alloc(&mut self, id: u32, size: u64, tick: u64, item: ItemId) -> u32 {
+    /// Opens a bin holding one item of `size` units: recycles a free
+    /// slot or appends one. Returns the slot.
+    fn alloc(&mut self, id: u32, size: u64, tick: u64) -> u32 {
+        let bin = BinSlot {
+            level: size,
+            opened: tick,
+            last_change: tick,
+            peak: size,
+            integral: 0,
+            id,
+            count: 1,
+            pos: VACANT,
+        };
         if let Some(slot) = self.free.pop() {
-            let s = slot as usize;
-            debug_assert_eq!(self.ids[s], VACANT, "free list holds only vacant slots");
-            self.ids[s] = id;
-            self.levels[s] = size;
-            self.counts[s] = 1;
-            self.opened[s] = tick;
-            self.last_change[s] = tick;
-            self.integrals[s] = 0;
-            self.peaks[s] = size;
-            debug_assert!(self.items[s].is_empty(), "released slot keeps no items");
-            self.items[s].push(item);
+            debug_assert_eq!(self.bins[slot as usize].id, VACANT, "slot in use");
+            self.bins[slot as usize] = bin;
             slot
         } else {
-            let slot = self.ids.len() as u32;
-            self.ids.push(id);
-            self.levels.push(size);
-            self.counts.push(1);
-            self.opened.push(tick);
-            self.last_change.push(tick);
-            self.integrals.push(0);
-            self.peaks.push(size);
-            self.items.push(vec![item]);
-            slot
+            self.bins.push(bin);
+            (self.bins.len() - 1) as u32
         }
     }
 
-    /// Returns a closed bin's slot to the free list. The item log
-    /// must already have been moved out.
+    /// Returns a closed bin's slot to the free list.
     fn release(&mut self, slot: u32) {
-        self.ids[slot as usize] = VACANT;
+        self.bins[slot as usize].id = VACANT;
         self.free.push(slot);
-    }
-
-    /// Accrues the level integral up to `tick`. Same
-    /// zero-length-interval skip as the Rational engine — here it
-    /// saves a `u128` multiply instead of two gcds.
-    #[inline]
-    fn advance_clock(&mut self, slot: usize, tick: u64) {
-        let since = self.last_change[slot];
-        if tick != since {
-            self.integrals[slot] += self.levels[slot] as u128 * (tick - since) as u128;
-            self.last_change[slot] = tick;
-        }
-    }
-
-    /// Number of allocated slots (free or occupied) — the peak open
-    /// count so far, and the store's memory high-water mark.
-    fn slots(&self) -> usize {
-        self.ids.len()
     }
 }
 
-/// A closed bin's integer history, converted in `finish`.
-#[derive(Debug, Clone)]
+/// A closed bin's integer history, converted in `finish`. Its item
+/// list is rebuilt there from the placement log.
+#[derive(Debug, Clone, Copy)]
 struct TickRecord {
     id: BinId,
     opened: u64,
     closed: u64,
-    items: Vec<ItemId>,
     integral: u128,
     peak: u64,
 }
 
-/// One active item's placement: its bin id, the bin's current
-/// [`BinStore`] slot, and the item's size in units. `bin == VACANT`
-/// marks a dense-set entry whose item is not active.
+/// One active item's placement: its bin's [`BinStore`] slot and its
+/// size in units. Sizes are at least one unit, so `units == 0` marks
+/// a dense-set entry whose item is not active.
 #[derive(Debug, Clone, Copy)]
 struct ActiveEntry {
-    bin: u32,
     slot: u32,
-    units: u64,
+    units: u32,
 }
 
 impl ActiveEntry {
-    const EMPTY: ActiveEntry = ActiveEntry {
-        bin: VACANT,
-        slot: 0,
-        units: 0,
-    };
+    const EMPTY: ActiveEntry = ActiveEntry { slot: 0, units: 0 };
+
+    fn is_vacant(self) -> bool {
+        self.units == 0
+    }
+}
+
+/// Every bin's items in placement order, indexed by bin id: one
+/// counting pass over the placement log sizes each list exactly, a
+/// second fills them in log order.
+fn item_lists(assignments: &[(ItemId, BinId)], bins: usize) -> Vec<Vec<ItemId>> {
+    let mut counts = vec![0usize; bins];
+    for &(_, bin) in assignments {
+        counts[bin.index()] += 1;
+    }
+    let mut lists: Vec<Vec<ItemId>> = counts.into_iter().map(Vec::with_capacity).collect();
+    for &(item, bin) in assignments {
+        lists[bin.index()].push(item);
+    }
+    lists
 }
 
 /// The item → placement map, `O(1)` both ways.
@@ -562,9 +573,8 @@ struct LinearScan {
 /// positions**: each opened bin takes the next position, so position
 /// order is opening order and the tree's leftmost-feasible descent is
 /// exactly First Fit. Keys are `gap + 1`, with `0` tombstoning closed
-/// bins. Two plain arrays translate between positions and the
-/// [`BinStore`]: `leaves` (position → bin id and slot) and `pos_of`
-/// (slot → position).
+/// bins. `leaves` maps a position to its [`BinStore`] slot; the
+/// slot's [`BinSlot::pos`] maps back.
 ///
 /// Tombstones are dropped by [`compact`](Self::compact) once
 /// positions reach `max(2·open, floor)`. Each compaction is one
@@ -577,11 +587,9 @@ struct TreeScan {
     tree: FitTree<u64>,
     /// Best Fit only: the live positions ordered by `(key, position)`.
     order: Option<BestFitSet<u64>>,
-    /// Position → `(bin id, store slot)`. Entries of closed bins are
-    /// stale until the next compaction drops them.
-    leaves: Vec<(u32, u32)>,
-    /// Store slot → position of the bin occupying it.
-    pos_of: Vec<u32>,
+    /// Position → store slot. Entries of closed bins are stale until
+    /// the next compaction drops them.
+    leaves: Vec<u32>,
     /// Compaction floor ([`COMPACT_FLOOR`] unless a test lowers it).
     floor: usize,
 }
@@ -589,42 +597,38 @@ struct TreeScan {
 impl TreeScan {
     /// Builds the index over the linear mode's open bins, keeping
     /// their (opening) order.
-    fn from_linear(lin: &LinearScan, policy: TickPolicy, floor: usize) -> TreeScan {
+    fn from_linear(
+        lin: &LinearScan,
+        bins: &mut [BinSlot],
+        policy: TickPolicy,
+        floor: usize,
+    ) -> TreeScan {
         let mut scan = TreeScan {
             tree: FitTree::new(),
             order: (policy == TickPolicy::BestFit).then(BestFitSet::new),
-            leaves: Vec::with_capacity(lin.ids.len()),
-            pos_of: Vec::new(),
+            leaves: Vec::with_capacity(lin.slots.len()),
             floor,
         };
-        for ((&id, &slot), &gap) in lin.ids.iter().zip(&lin.slots).zip(&lin.gaps) {
-            scan.push(id, slot, gap + 1);
+        // Positions stay below the open count here, so none compacts.
+        for (&slot, &gap) in lin.slots.iter().zip(&lin.gaps) {
+            scan.open(bins, slot, gap + 1, lin.slots.len());
         }
         scan
     }
 
-    /// Gives a freshly opened bin the next position.
-    fn push(&mut self, id: u32, slot: u32, key: u64) {
-        let pos = self.leaves.len();
-        self.leaves.push((id, slot));
-        let s = slot as usize;
-        if s >= self.pos_of.len() {
-            self.pos_of.resize(s + 1, VACANT);
+    /// Gives a freshly opened bin the next position, compacting first
+    /// when the positions have reached `max(2·open, floor)`.
+    fn open(&mut self, bins: &mut [BinSlot], slot: u32, key: u64, open: usize) {
+        if self.leaves.len() >= (2 * open).max(self.floor) {
+            self.compact(bins);
         }
-        self.pos_of[s] = pos as u32;
+        let pos = self.leaves.len();
+        self.leaves.push(slot);
+        bins[slot as usize].pos = pos as u32;
         self.tree.open(pos, key);
         if let Some(order) = &mut self.order {
             order.insert(pos, key);
         }
-    }
-
-    /// Registers a freshly opened bin, compacting first when the
-    /// positions have reached `max(2·open, floor)`.
-    fn open(&mut self, id: u32, slot: u32, key: u64, open: usize) {
-        if self.leaves.len() >= (2 * open).max(self.floor) {
-            self.compact();
-        }
-        self.push(id, slot, key);
     }
 
     /// The policy's pick for a shifted size key, plus the descent
@@ -659,11 +663,11 @@ impl TreeScan {
 
     /// Drops every tombstone in one in-order pass, renumbering the
     /// live positions `0..open` without changing their order.
-    fn compact(&mut self) {
-        let (leaves, pos_of) = (&mut self.leaves, &mut self.pos_of);
+    fn compact(&mut self, bins: &mut [BinSlot]) {
+        let leaves = &mut self.leaves;
         self.tree.compact(|old, new| {
             leaves[new] = leaves[old];
-            pos_of[leaves[new].1 as usize] = new as u32;
+            bins[leaves[new] as usize].pos = new as u32;
         });
         leaves.truncate(self.tree.len());
         if let Some(order) = &mut self.order {
@@ -678,9 +682,9 @@ impl TreeScan {
 /// Mirrors the exact engine's semantics — duplicate and feasibility
 /// validation, time-regression checks, half-open interval
 /// tie-breaking, peak and integral tracking — but every book is a
-/// machine integer in data-oriented storage: bin state in the
-/// slot-recycled `BinStore` arrays, the active set in an `O(1)`
-/// `ActiveSet` slot map, and placement queries on a dense gap
+/// machine integer in data-oriented storage: bin state in one
+/// 64-byte record per slot of the recycled `BinStore`, the active set
+/// in an `O(1)` `ActiveSet` slot map, and placement queries on a dense gap
 /// slice via the chunked [`crate::scan`] sweeps while few bins are
 /// open, or on a compacting [`FitTree`] over scan positions and
 /// `u64` keys (`gap + 1`, `0` tombstoning closed bins) above
@@ -878,7 +882,7 @@ impl TickEngine {
     /// ever opened — the memory-flatness contract a long-running
     /// streaming session relies on, and what the soak test pins.
     pub fn slot_capacity(&self) -> usize {
-        self.store.slots()
+        self.store.bins.len()
     }
 
     /// Usage time `Σ_k |U_k|` accrued so far (closed bins fully, open
@@ -898,7 +902,7 @@ impl TickEngine {
             ActiveSet::Dense(entries) => entries
                 .get(item.index())
                 .copied()
-                .filter(|e| e.bin != VACANT),
+                .filter(|e| !e.is_vacant()),
             ActiveSet::Sparse(map) => map.get(&item.0).copied(),
         }
     }
@@ -943,7 +947,7 @@ impl TickEngine {
         };
         map.reserve(self.active_count);
         for (i, e) in entries.iter().enumerate() {
-            if e.bin != VACANT {
+            if !e.is_vacant() {
                 map.insert(i as u32, *e);
             }
         }
@@ -952,7 +956,7 @@ impl TickEngine {
     fn active_remove(&mut self, item: ItemId) -> Option<ActiveEntry> {
         let hit = match &mut self.active {
             ActiveSet::Dense(entries) => match entries.get_mut(item.index()) {
-                Some(e) if e.bin != VACANT => Some(std::mem::replace(e, ActiveEntry::EMPTY)),
+                Some(e) if !e.is_vacant() => Some(std::mem::replace(e, ActiveEntry::EMPTY)),
                 _ => None,
             },
             ActiveSet::Sparse(map) => map.remove(&item.0),
@@ -966,18 +970,20 @@ impl TickEngine {
     /// The active entries as `(item, bin, units)` sorted by item id
     /// (cold paths: promotion and finalization).
     fn active_sorted(&self) -> Vec<(ItemId, BinId, u64)> {
+        let resolve = |id: u32, e: &ActiveEntry| {
+            let bin = BinId(self.store.bins[e.slot as usize].id);
+            (ItemId(id), bin, u64::from(e.units))
+        };
         match &self.active {
             ActiveSet::Dense(entries) => entries
                 .iter()
                 .enumerate()
-                .filter(|(_, e)| e.bin != VACANT)
-                .map(|(i, e)| (ItemId(i as u32), BinId(e.bin), e.units))
+                .filter(|(_, e)| !e.is_vacant())
+                .map(|(i, e)| resolve(i as u32, e))
                 .collect(),
             ActiveSet::Sparse(map) => {
-                let mut all: Vec<(ItemId, BinId, u64)> = map
-                    .iter()
-                    .map(|(&id, e)| (ItemId(id), BinId(e.bin), e.units))
-                    .collect();
+                let mut all: Vec<(ItemId, BinId, u64)> =
+                    map.iter().map(|(&id, e)| resolve(id, e)).collect();
                 all.sort_unstable_by_key(|&(item, _, _)| item);
                 all
             }
@@ -989,13 +995,16 @@ impl TickEngine {
     /// every later query descends the tree.
     fn promote_to_tree(&mut self) {
         if let ScanMode::Linear(lin) = &self.scan {
-            let tree = TreeScan::from_linear(lin, self.policy, self.compact_floor);
+            let tree =
+                TreeScan::from_linear(lin, &mut self.store.bins, self.policy, self.compact_floor);
             self.scan = ScanMode::Tree(tree);
         }
     }
 
     /// Processes an arrival: queries the policy, validates the
-    /// placement, applies it. Returns the chosen bin.
+    /// placement, applies it. Returns the chosen bin. A size outside
+    /// `1..=capacity` units is refused with
+    /// [`PackingError::InvalidSize`] before any book is touched.
     pub fn arrive(&mut self, item: ItemId, size: u64, tick: u64) -> Result<BinId, PackingError> {
         self.arrive_probed(&mut NoopProbe, item, size, tick)
     }
@@ -1012,6 +1021,12 @@ impl TickEngine {
         tick: u64,
     ) -> Result<BinId, PackingError> {
         probe.event(EventKind::Arrival);
+        if size == 0 || size > self.capacity {
+            return Err(PackingError::InvalidSize {
+                item,
+                size: self.size_of(size),
+            });
+        }
         self.check_time(tick)?;
         let bin = self.apply_arrival(probe, item, size, tick)?;
         self.now = Some(tick);
@@ -1046,9 +1061,10 @@ impl TickEngine {
         Ok(())
     }
 
-    /// The shared arrival core: everything except the clock check and
-    /// the `level_total`/`max_open` bookkeeping, which the per-event
-    /// and burst entry points fold in at their own cadence.
+    /// The shared arrival core: everything except the size and clock
+    /// checks and the `level_total`/`max_open` bookkeeping, which the
+    /// per-event and burst entry points fold in at their own cadence.
+    /// `size` is already known to lie in `1..=capacity`.
     fn apply_arrival<P: PhaseProbe + ?Sized>(
         &mut self,
         probe: &mut P,
@@ -1056,6 +1072,10 @@ impl TickEngine {
         size: u64,
         tick: u64,
     ) -> Result<BinId, PackingError> {
+        debug_assert!(
+            (1..=self.capacity).contains(&size),
+            "size validated by the caller"
+        );
         if self.is_active(item) {
             return Err(PackingError::DuplicateItem(item));
         }
@@ -1076,7 +1096,7 @@ impl TickEngine {
                     };
                     probe.count(ProbeCounter::BinsScanned, scanned);
                 }
-                hit.map(|pos| (lin.ids[pos], lin.slots[pos], pos))
+                hit.map(|pos| (lin.slots[pos], pos))
             }
             // Shifted-key queries: stored keys are `gap + 1`, so
             // probe with `size + 1`; sizes are ≥ 1, so the probe is
@@ -1086,31 +1106,26 @@ impl TickEngine {
                 if probe.is_active() {
                     probe.count(ProbeCounter::TreeDepth, depth as u64);
                 }
-                hit.map(|pos| {
-                    let (id, slot) = tree.leaves[pos];
-                    (id, slot, pos)
-                })
+                hit.map(|pos| (tree.leaves[pos], pos))
             }
         };
         probe.exit(Phase::FitScan);
         let (bin_id, slot) = match chosen {
-            Some((id, slot, pos)) => {
-                let s = slot as usize;
+            Some((slot, pos)) => {
+                let bin = &mut self.store.bins[slot as usize];
                 debug_assert!(
-                    self.store.levels[s] + size <= self.capacity,
+                    bin.level + size <= self.capacity,
                     "scan returned an infeasible bin"
                 );
                 probe.enter(Phase::PlacementCommit);
                 probe.enter(Phase::ClockAdvance);
-                self.store.advance_clock(s, tick);
+                bin.advance_clock(tick);
                 probe.exit(Phase::ClockAdvance);
-                let level = self.store.levels[s] + size;
-                self.store.levels[s] = level;
-                self.store.counts[s] += 1;
-                self.store.items[s].push(item);
-                if level > self.store.peaks[s] {
-                    self.store.peaks[s] = level;
-                }
+                let level = bin.level + size;
+                bin.level = level;
+                bin.count += 1;
+                bin.peak = bin.peak.max(level);
+                let id = bin.id;
                 probe.exit(Phase::PlacementCommit);
                 probe.enter(Phase::TreeSync);
                 match &mut self.scan {
@@ -1124,7 +1139,7 @@ impl TickEngine {
                 let id = self.next_bin;
                 self.next_bin += 1;
                 probe.enter(Phase::PlacementCommit);
-                let slot = self.store.alloc(id, size, tick, item);
+                let slot = self.store.alloc(id, size, tick);
                 self.open_count += 1;
                 self.open_opened_sum += tick as u128;
                 probe.exit(Phase::PlacementCommit);
@@ -1137,7 +1152,8 @@ impl TickEngine {
                         self.open_count > self.crossover
                     }
                     ScanMode::Tree(tree) => {
-                        tree.open(id, slot, self.capacity - size + 1, self.open_count);
+                        let key = self.capacity - size + 1;
+                        tree.open(&mut self.store.bins, slot, key, self.open_count);
                         false
                     }
                 };
@@ -1152,9 +1168,8 @@ impl TickEngine {
         self.active_insert(
             item,
             ActiveEntry {
-                bin: bin_id.0,
                 slot,
-                units: size,
+                units: size as u32,
             },
         );
         self.assignments.push((item, bin_id));
@@ -1217,26 +1232,26 @@ impl TickEngine {
             probe.exit(Phase::DepartureDrain);
             return Err(PackingError::UnknownItem(item));
         };
-        let s = entry.slot as usize;
+        let units = u64::from(entry.units);
+        let bin = &mut self.store.bins[entry.slot as usize];
         probe.enter(Phase::ClockAdvance);
-        self.store.advance_clock(s, tick);
+        bin.advance_clock(tick);
         probe.exit(Phase::ClockAdvance);
-        self.store.levels[s] -= entry.units;
-        self.store.counts[s] -= 1;
-        let closed_now = self.store.counts[s] == 0;
+        bin.level -= units;
+        bin.count -= 1;
+        let BinSlot { id, level, pos, .. } = *bin;
+        let closed_now = bin.count == 0;
         if closed_now {
-            debug_assert_eq!(self.store.levels[s], 0, "empty bin must have zero level");
-            let opened = self.store.opened[s];
+            debug_assert_eq!(level, 0, "empty bin must have zero level");
             self.open_count -= 1;
-            self.open_opened_sum -= opened as u128;
-            self.closed_ticks += (tick - opened) as u128;
+            self.open_opened_sum -= bin.opened as u128;
+            self.closed_ticks += (tick - bin.opened) as u128;
             self.closed.push(TickRecord {
-                id: BinId(entry.bin),
-                opened,
+                id: BinId(id),
+                opened: bin.opened,
                 closed: tick,
-                items: std::mem::take(&mut self.store.items[s]),
-                integral: self.store.integrals[s],
-                peak: self.store.peaks[s],
+                integral: bin.integral,
+                peak: bin.peak,
             });
             self.store.release(entry.slot);
         }
@@ -1246,27 +1261,21 @@ impl TickEngine {
             ScanMode::Linear(lin) => {
                 let at = lin
                     .ids
-                    .binary_search(&entry.bin)
+                    .binary_search(&id)
                     .expect("departing item's bin is in the scan order");
                 if closed_now {
                     lin.gaps.remove(at);
                     lin.ids.remove(at);
                     lin.slots.remove(at);
                 } else {
-                    lin.gaps[at] += entry.units;
+                    lin.gaps[at] += units;
                 }
             }
-            ScanMode::Tree(tree) => {
-                let pos = tree.pos_of[s] as usize;
-                if closed_now {
-                    tree.close(pos);
-                } else {
-                    tree.set(pos, self.capacity - self.store.levels[s] + 1);
-                }
-            }
+            ScanMode::Tree(tree) if closed_now => tree.close(pos as usize),
+            ScanMode::Tree(tree) => tree.set(pos as usize, self.capacity - level + 1),
         }
         probe.exit(Phase::TreeSync);
-        Ok((BinId(entry.bin), entry.units))
+        Ok((BinId(id), units))
     }
 
     /// Converts the live integer books back to exact `Rational`s and
@@ -1284,56 +1293,49 @@ impl TickEngine {
         use crate::engine::LiveBin;
         let denom = self.time_scale * self.size_scale;
         let act = self.active_sorted();
-        // One consumed-flag per active entry: an id may recur in a
-        // bin's item log (depart, then re-arrive), but at most one
-        // occurrence is active — the *latest* one, which is the
-        // occurrence the exact engine would hold in `contents`.
-        let mut consumed = vec![false; act.len()];
+        let mut lists = item_lists(&self.assignments, self.next_bin as usize);
+        // Each open bin's active items in arrival order. An id may
+        // recur in the log (depart, then re-arrive), but an active
+        // item's current placement is its latest entry, which a walk
+        // backwards through the log meets first.
+        let mut contents = vec![Vec::new(); self.next_bin as usize];
+        let mut seen = vec![false; act.len()];
+        for &(item, bin) in self.assignments.iter().rev() {
+            if let Ok(k) = act.binary_search_by_key(&item, |&(r, _, _)| r) {
+                if !std::mem::replace(&mut seen[k], true) {
+                    contents[bin.index()].push((item, self.size_of(act[k].2)));
+                }
+            }
+        }
         // Occupied slots in bin-id (opening) order, as the exact
         // engine's books list them.
         let mut occupied: Vec<(u32, usize)> = self
             .store
-            .ids
+            .bins
             .iter()
             .enumerate()
-            .filter(|&(_, &id)| id != VACANT)
-            .map(|(slot, &id)| (id, slot))
+            .filter(|(_, bin)| bin.id != VACANT)
+            .map(|(slot, bin)| (bin.id, slot))
             .collect();
         occupied.sort_unstable();
         let mut open = Vec::with_capacity(self.open_count);
         let mut live = Vec::with_capacity(self.open_count);
         for &(id, s) in &occupied {
-            let bin_id = BinId(id);
-            let count = self.store.counts[s] as usize;
-            let mut picked: Vec<(ItemId, u64)> = Vec::with_capacity(count);
-            for &item in self.store.items[s].iter().rev() {
-                if picked.len() == count {
-                    break;
-                }
-                if let Ok(pos) = act.binary_search_by(|&(r, _, _)| r.cmp(&item)) {
-                    let (_, b, units) = act[pos];
-                    if b == bin_id && !consumed[pos] {
-                        consumed[pos] = true;
-                        picked.push((item, units));
-                    }
-                }
-            }
-            picked.reverse();
+            let bin = &self.store.bins[s];
+            let mut held = std::mem::take(&mut contents[id as usize]);
+            held.reverse();
             open.push(OpenBin {
-                id: bin_id,
-                opened_at: self.time_of(self.store.opened[s]),
-                level: self.size_of(self.store.levels[s]),
-                contents: picked
-                    .iter()
-                    .map(|&(item, units)| (item, self.size_of(units)))
-                    .collect(),
+                id: BinId(id),
+                opened_at: self.time_of(bin.opened),
+                level: self.size_of(bin.level),
+                contents: held,
             });
             live.push(LiveBin {
-                opened_at: self.time_of(self.store.opened[s]),
-                items: self.store.items[s].clone(),
-                level_integral: Rational::new(self.store.integrals[s] as i128, denom),
-                peak_level: self.size_of(self.store.peaks[s]),
-                last_change: self.time_of(self.store.last_change[s]),
+                opened_at: self.time_of(bin.opened),
+                items: std::mem::take(&mut lists[id as usize]),
+                level_integral: Rational::new(bin.integral as i128, denom),
+                peak_level: self.size_of(bin.peak),
+                last_change: self.time_of(bin.last_change),
             });
         }
         let closed = self
@@ -1342,7 +1344,7 @@ impl TickEngine {
             .map(|rec| BinRecord {
                 id: rec.id,
                 usage: Interval::new(self.time_of(rec.opened), self.time_of(rec.closed)),
-                items: rec.items.clone(),
+                items: std::mem::take(&mut lists[rec.id.index()]),
                 level_integral: Rational::new(rec.integral as i128, denom),
                 peak_level: self.size_of(rec.peak),
             })
@@ -1372,6 +1374,9 @@ impl TickEngine {
             return Err(PackingError::ItemsStillActive(self.active_count));
         }
         debug_assert_eq!(self.open_count, 0);
+        // Item lists come from the log in placement order, so they
+        // are rebuilt before the log is sorted by item.
+        let mut lists = item_lists(&self.assignments, self.next_bin as usize);
         let mut closed = std::mem::take(&mut self.closed);
         closed.sort_by_key(|b| b.id);
         self.assignments.sort_by_key(|&(r, _)| r);
@@ -1397,7 +1402,7 @@ impl TickEngine {
             .map(|rec| BinRecord {
                 id: rec.id,
                 usage: Interval::new(self.time_of(rec.opened), self.time_of(rec.closed)),
-                items: rec.items,
+                items: std::mem::take(&mut lists[rec.id.index()]),
                 level_integral: Rational::new(rec.integral as i128 / shared, shared_denom),
                 peak_level: self.size_of(rec.peak),
             })
@@ -1418,17 +1423,6 @@ impl TickEngine {
             self.max_open,
         ))
     }
-}
-
-/// Runs `policy` over a prebuilt [`CompiledInstance`] (alias for
-/// [`CompiledInstance::run`], mirroring the legacy `run_packing`
-/// shims' shape; batch callers normally go through
-/// [`crate::session::Runner`]).
-pub fn run_packing_compiled(
-    compiled: &CompiledInstance,
-    policy: TickPolicy,
-) -> Result<PackingOutcome, PackingError> {
-    compiled.run(policy)
 }
 
 /// Compile-then-run with automatic fallback: replays on the integer
@@ -1561,7 +1555,7 @@ mod tests {
         let a = compiled.run(TickPolicy::FirstFit).unwrap();
         let b = compiled.run(TickPolicy::FirstFit).unwrap();
         assert_eq!(a, b);
-        let bf = run_packing_compiled(&compiled, TickPolicy::BestFit).unwrap();
+        let bf = compiled.run(TickPolicy::BestFit).unwrap();
         assert_eq!(bf, Runner::new(&inst).run(&mut BestFit::new()).unwrap());
     }
 
@@ -1699,6 +1693,51 @@ mod tests {
             let all_tree = compiled.run_with_crossover(policy, 0).unwrap();
             assert_eq!(adaptive, all_linear, "{} linear drift", policy.name());
             assert_eq!(adaptive, all_tree, "{} tree drift", policy.name());
+        }
+    }
+
+    /// The layout the hot path is sized for: one cache line of bin
+    /// state per slot, an 8-byte active entry, and closed-bin records
+    /// that own no heap memory.
+    #[test]
+    fn book_records_stay_small() {
+        assert!(std::mem::size_of::<BinSlot>() <= 64);
+        assert_eq!(std::mem::size_of::<ActiveEntry>(), 8);
+        assert!(!std::mem::needs_drop::<TickRecord>());
+    }
+
+    /// Sizes outside `1..=capacity` units are refused before any book
+    /// moves; the next valid event sees an untouched engine.
+    #[test]
+    fn out_of_range_sizes_are_refused_without_side_effects() {
+        // A quarter grid: capacity is 4 units.
+        let inst = Instance::builder()
+            .item(rat(1, 4), rat(0, 1), rat(1, 1))
+            .build()
+            .unwrap();
+        let compiled = CompiledInstance::compile(&inst).unwrap();
+        assert_eq!(compiled.capacity(), 4);
+        for bad in [0, 5, u64::MAX] {
+            let mut eng = TickEngine::new(&compiled, TickPolicy::FirstFit);
+            assert_eq!(
+                eng.arrive(ItemId(0), bad, 3),
+                Err(PackingError::InvalidSize {
+                    item: ItemId(0),
+                    size: Rational::new(bad as i128, 4),
+                })
+            );
+            assert_eq!((eng.open_bins(), eng.active_items()), (0, 0));
+            assert_eq!(eng.now(), None, "the clock must not move");
+            // The refused id is free and the clock may still start
+            // earlier than the refused event's tick.
+            assert_eq!(eng.arrive(ItemId(0), 3, 1), Ok(BinId(0)));
+            assert_eq!(eng.arrive(ItemId(1), 2, 1), Ok(BinId(1)));
+            assert_eq!(eng.load(), rat(5, 4));
+            eng.depart(ItemId(0), 2).unwrap();
+            eng.depart(ItemId(1), 2).unwrap();
+            let out = eng.finish("FirstFit").unwrap();
+            assert_eq!(out.bins_opened(), 2);
+            assert_eq!(out.bins()[0].peak_level, rat(3, 4));
         }
     }
 

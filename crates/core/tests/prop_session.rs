@@ -87,6 +87,81 @@ fn stream(
     session.finish().expect("finish after a valid stream")
 }
 
+/// The id of the one off-grid arrival in [`reused_id_stream`].
+const OFF_GRID_ID: ItemId = ItemId(100);
+
+/// A valid stream on the `TickGrid::new(4, 8)` grid whose ids depart
+/// and re-arrive, plus one off-grid arrival (size 1/3) before the
+/// `cut`-th random op.
+///
+/// A fixed First-Fit prefix guarantees that id 0 re-arrives into a
+/// different bin: it fills bin 0 with ids 0 and 1, opens bin 1 with
+/// id 2, then departs id 0 and re-arrives it after id 3 has retaken
+/// its room in bin 0. Each random op `(id, eighths, quarter steps)`
+/// advances the clock, then departs `id` if it is active or arrives
+/// it with size `eighths/8`. Departures never follow an arrival at
+/// the same instant, and every item departs at the end.
+fn reused_id_stream(ops: &[(u32, i128, i128)], cut: usize) -> Vec<Event> {
+    let arrive = |id, eighths, quarters| Event::Arrive {
+        id: ItemId(id),
+        size: rat(eighths, 8),
+        time: rat(quarters, 4),
+    };
+    let depart = |id, quarters| Event::Depart {
+        id: ItemId(id),
+        time: rat(quarters, 4),
+    };
+    let mut events = vec![
+        arrive(0, 4, 0),
+        arrive(1, 4, 0),
+        arrive(2, 4, 0),
+        depart(0, 1),
+        arrive(3, 4, 1),
+        arrive(0, 4, 1),
+    ];
+    let mut active: Vec<u32> = vec![0, 1, 2, 3];
+    let mut now = 1;
+    let mut arrived_now = true;
+    for (k, &(id, eighths, steps)) in ops.iter().enumerate() {
+        if k == cut.min(ops.len().saturating_sub(1)) {
+            events.push(Event::Arrive {
+                id: OFF_GRID_ID,
+                size: rat(1, 3),
+                time: rat(now, 4),
+            });
+            arrived_now = true;
+        }
+        now += steps;
+        if steps > 0 {
+            arrived_now = false;
+        }
+        if let Some(at) = active.iter().position(|&a| a == id) {
+            if arrived_now {
+                now += 1;
+                arrived_now = false;
+            }
+            active.remove(at);
+            events.push(depart(id, now));
+        } else {
+            active.push(id);
+            events.push(arrive(id, eighths, now));
+            arrived_now = true;
+        }
+    }
+    if ops.is_empty() {
+        events.push(Event::Arrive {
+            id: OFF_GRID_ID,
+            size: rat(1, 3),
+            time: rat(now, 4),
+        });
+    }
+    active.sort_unstable();
+    for id in active.into_iter().chain([OFF_GRID_ID.0]) {
+        events.push(depart(id, now + 1));
+    }
+    events
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -151,6 +226,41 @@ proptest! {
         prop_assert_eq!(resumed.metrics(), first.metrics());
         resumed.ingest(&events[cut..]).unwrap();
         prop_assert_eq!(resumed.finish().unwrap(), full);
+    }
+
+    /// The tick engine keeps no per-bin item lists; it rebuilds them
+    /// from its placement log, both at `finish` and when an off-grid
+    /// event promotes it to the exact engine. Ids that depart and
+    /// re-arrive into another bin must land in every bin's list in
+    /// placement order.
+    #[test]
+    fn promoted_tick_sessions_keep_reused_ids_in_order(
+        ops in prop::collection::vec((0u32..6, 1i128..=8, 0i128..=2), 0..40),
+        cut in 0usize..=40,
+    ) {
+        let events = reused_id_stream(&ops, cut);
+        let exact_of = |algo: Box<dyn PackingAlgorithm>| {
+            let mut s = Session::builder(algo).backend(Backend::Exact).build().unwrap();
+            s.ingest(&events).unwrap();
+            s.finish().unwrap()
+        };
+        let tick_of = |algo: Box<dyn PackingAlgorithm>| {
+            let mut s = Session::builder(algo).grid(TickGrid::new(4, 8)).build().unwrap();
+            for ev in &events {
+                let off_grid = matches!(ev, Event::Arrive { id, .. } if *id == OFF_GRID_ID);
+                if off_grid {
+                    assert!(s.tick_active(), "on-grid prefix runs on the tick engine");
+                }
+                s.apply(ev).unwrap();
+                if off_grid {
+                    assert!(!s.tick_active(), "off-grid size promotes to exact");
+                }
+            }
+            s.finish().unwrap()
+        };
+        prop_assert_eq!(tick_of(Box::new(FirstFitFast::new())), exact_of(Box::new(FirstFitFast::new())));
+        prop_assert_eq!(tick_of(Box::new(BestFitFast::new())), exact_of(Box::new(BestFitFast::new())));
+        prop_assert_eq!(tick_of(Box::new(WorstFitFast::new())), exact_of(Box::new(WorstFitFast::new())));
     }
 
     /// Live metrics agree with the finished outcome: after the last

@@ -12,7 +12,8 @@
 //! speak the protocol by hand (`printf '%s\n%s\n' "${#json}" "$json"`).
 //!
 //! Error handling draws a deliberate line: transport damage (I/O
-//! errors, an unparseable length line, an oversized frame) poisons the
+//! errors, an unparseable or over-long length line, an oversized
+//! frame, a stream that ends mid-frame) poisons the
 //! stream and is returned as `Err` — the connection cannot continue
 //! because frame boundaries are lost. A frame whose *payload* fails to
 //! parse is fully consumed first, so it comes back as
@@ -20,11 +21,15 @@
 //! protocol error and keep the connection alive.
 
 use serde::Deserialize;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 
 /// Hard ceiling on a single frame's payload, guarding the server
 /// against a hostile or confused peer declaring a huge length.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
+
+/// Longest accepted length line: 20 decimal digits (any `u64`) plus
+/// its newline.
+const MAX_LEN_LINE: usize = 21;
 
 /// Outcome of reading one frame.
 #[derive(Debug)]
@@ -137,11 +142,18 @@ fn parse_payload<T: Deserialize>(bytes: &[u8]) -> FrameRead<T> {
 }
 
 fn read_raw_frame(r: &mut impl BufRead, scratch: &mut Vec<u8>) -> io::Result<RawFrame> {
-    // Length line.
+    // Length line, read at most `MAX_LEN_LINE` bytes deep: a peer that
+    // never sends the newline cannot grow `scratch` without limit.
     scratch.clear();
-    let n = r.read_until(b'\n', scratch)?;
+    let n = r.take(MAX_LEN_LINE as u64).read_until(b'\n', scratch)?;
     if n == 0 {
         return Ok(RawFrame::Eof);
+    }
+    if n == MAX_LEN_LINE && scratch.last() != Some(&b'\n') {
+        return Err(bad_stream(format!(
+            "frame length line exceeds {} digits",
+            MAX_LEN_LINE - 1
+        )));
     }
     let len_text = std::str::from_utf8(scratch)
         .map_err(|_| bad_stream("frame length line is not UTF-8"))?
@@ -155,10 +167,16 @@ fn read_raw_frame(r: &mut impl BufRead, scratch: &mut Vec<u8>) -> io::Result<Raw
         )));
     }
 
-    // Payload: exactly `len` bytes, then the trailing newline.
+    // Payload: exactly `len` bytes, then the trailing newline. The
+    // buffer grows only as bytes arrive, so a declared length costs
+    // no memory until the peer actually sends it.
     scratch.clear();
-    scratch.resize(len, 0);
-    r.read_exact(scratch)?;
+    if (r.take(len as u64).read_to_end(scratch)?) < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("stream ended inside a {len}-byte frame"),
+        ));
+    }
     let mut nl = [0u8; 1];
     r.read_exact(&mut nl)?;
     if nl[0] != b'\n' {
@@ -242,6 +260,33 @@ mod tests {
         // Truncated payload: declared 10 bytes, stream ends early.
         let mut r = Cursor::new(b"10\n{}\n".to_vec());
         assert!(read_frame::<Request>(&mut r).is_err());
+    }
+
+    #[test]
+    fn endless_length_line_is_refused_without_buffering_it() {
+        let digits = vec![b'7'; 1 << 20];
+        let mut scratch = Vec::new();
+        let err = read_frame_raw(&mut Cursor::new(digits), &mut scratch).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(scratch.capacity() < 64 << 10, "{}", scratch.capacity());
+
+        // Twenty digits is the longest line accepted.
+        let longest = format!("{:020}\n{{}}\n", 2);
+        let mut r = Cursor::new(longest.into_bytes());
+        assert!(matches!(
+            read_frame_raw(&mut r, &mut scratch).unwrap(),
+            RawFrame::Payload
+        ));
+        assert_eq!(scratch, b"{}");
+    }
+
+    #[test]
+    fn declared_length_allocates_only_what_arrives() {
+        let mut scratch = Vec::new();
+        let header = format!("{MAX_FRAME_BYTES}\n{{\"v\":1");
+        let err = read_frame_raw(&mut Cursor::new(header.into_bytes()), &mut scratch).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        assert!(scratch.capacity() < 64 << 10, "{}", scratch.capacity());
     }
 
     #[test]

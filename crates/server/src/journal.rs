@@ -105,9 +105,25 @@ pub fn journal_path(dir: &Path, tenant: &str) -> PathBuf {
 
 impl Journal {
     /// Creates a fresh journal for a new tenant, writing its header.
+    ///
+    /// Distinct tenant keys can sanitize to the same file name (`a.b`
+    /// and `a_b` both map to `a_b.journal`). When the file exists and
+    /// its header names another tenant, the call fails with
+    /// [`io::ErrorKind::AlreadyExists`] and leaves the file alone;
+    /// a tenant re-creating its own journal truncates it.
     pub fn create(dir: &Path, header: &JournalHeader) -> io::Result<Journal> {
         fs::create_dir_all(dir)?;
         let path = journal_path(dir, &header.tenant);
+        if let Some(owner) = journal_owner(&path).filter(|owner| *owner != header.tenant) {
+            return Err(io::Error::new(
+                io::ErrorKind::AlreadyExists,
+                format!(
+                    "journal {} belongs to tenant `{owner}`, not `{}`",
+                    path.display(),
+                    header.tenant
+                ),
+            ));
+        }
         let file = OpenOptions::new()
             .create(true)
             .write(true)
@@ -152,6 +168,17 @@ impl Journal {
         drop(self);
         fs::remove_file(path)
     }
+}
+
+/// The tenant named by the header of the journal at `path`, if the
+/// file exists and its first line parses as a header.
+fn journal_owner(path: &Path) -> Option<String> {
+    let mut line = String::new();
+    BufReader::new(File::open(path).ok()?)
+        .read_line(&mut line)
+        .ok()?;
+    let value = serde_json::parse(line.trim_end()).ok()?;
+    JournalHeader::from_value(&value).ok().map(|h| h.tenant)
 }
 
 /// A parsed journal: the header plus every event it recorded.
@@ -247,6 +274,41 @@ mod tests {
 
         journal.remove().unwrap();
         assert!(scan_journals(&dir).unwrap().is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn create_refuses_another_tenants_file_but_resets_its_own() {
+        let dir = std::env::temp_dir().join(format!("dbp-journal-owner-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let owner = JournalHeader {
+            tenant: "a.b".into(),
+            ..header()
+        };
+        let event = Event::Depart {
+            id: ItemId(0),
+            time: rat(1, 1),
+        };
+        Journal::create(&dir, &owner)
+            .unwrap()
+            .append(&[event])
+            .unwrap();
+
+        let intruder = JournalHeader {
+            tenant: "a_b".into(),
+            ..header()
+        };
+        let err = Journal::create(&dir, &intruder).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::AlreadyExists, "{err}");
+        let kept = read_journal(&journal_path(&dir, "a.b")).unwrap();
+        assert_eq!((kept.header, kept.events), (owner.clone(), vec![event]));
+
+        // The owner itself may start over.
+        Journal::create(&dir, &owner).unwrap();
+        assert!(read_journal(&journal_path(&dir, "a.b"))
+            .unwrap()
+            .events
+            .is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 

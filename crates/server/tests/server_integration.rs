@@ -185,6 +185,55 @@ fn crash_recovery_resumes_bit_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `a.b` and `a_b` share a journal file name. The second hello must be
+/// refused rather than truncate the first tenant's journal, which a
+/// restart then recovers intact.
+#[test]
+fn colliding_tenant_cannot_wipe_another_journal() {
+    let dir = test_dir("collision");
+    let config = || ServerConfig {
+        journal_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let connect = |server: &DbpServer, tenant: &str| {
+        Client::builder("firstfit")
+            .tenant(tenant)
+            .grid(TickGrid::new(1, 32))
+            .connect(server.local_addr())
+    };
+    let events = wave_stream(6, 4);
+    let (head, tail) = events.split_at(events.len() / 2);
+
+    let server = DbpServer::start(config()).unwrap();
+    let mut owner = connect(&server, "a.b").unwrap();
+    for ev in head {
+        owner.apply(ev).unwrap();
+    }
+    match connect(&server, "a_b") {
+        Err(ClientError::Remote(e)) => assert_eq!(e.kind, ErrorKind::Unavailable, "{e}"),
+        other => panic!(
+            "expected a refused hello, got {:?}",
+            other.map(|_| "a connected client")
+        ),
+    }
+    // The owner is unaffected on the live server...
+    owner.apply(&tail[0]).unwrap();
+    server.stop();
+    drop(owner);
+
+    // ...and after a restart its journal replays every acked event.
+    let server = DbpServer::start(config()).unwrap();
+    let mut owner = connect(&server, "a.b").unwrap();
+    assert_eq!(owner.resumed_events(), head.len() as u64 + 1);
+    owner.ingest(&tail[1..]).unwrap();
+    assert_eq!(
+        owner.finish().unwrap(),
+        vec![session_outcome("firstfit", &events)]
+    );
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn quota_refusals_are_typed_and_leave_state_untouched() {
     let server = DbpServer::start(ServerConfig {

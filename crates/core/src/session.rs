@@ -829,10 +829,17 @@ impl<'s> Session<'s> {
         );
         let den = value.denom();
         if memo.0 != den {
-            if scale % den != 0 {
+            // Denominators are positive: one above the scale cannot
+            // divide it, and the rest fit 32 bits, so the divisibility
+            // test and the quotient run in 64-bit arithmetic.
+            if den > scale {
                 return None;
             }
-            *memo = (den, scale / den);
+            let (den64, scale64) = (den as u64, scale as u64);
+            if scale64 % den64 != 0 {
+                return None;
+            }
+            *memo = (den, (scale64 / den64) as i128);
         }
         // The quotient is below 2^32 (grid scales are u32-bounded),
         // so any numerator below 2^63 multiplies without overflow on

@@ -10,12 +10,20 @@
 //! those bytes.
 //!
 //! Any deviation from canonical form — whitespace, reordered keys,
-//! leading zeros, an unnormalized rational — makes the fast parser
-//! return `None`, and the caller falls back to the generic `Value`
-//! path. The wire *format* is therefore unchanged: this module is an
-//! optimization, not a dialect. Byte-equality of the two encoders and
-//! agreement of the two parsers are enforced by the unit tests below
-//! and by the property tests in `tests/prop_wire.rs`.
+//! leading zeros, a non-positive denominator, a number that overflows
+//! its field — makes the fast parser return `None`, and the caller
+//! falls back to the generic `Value` path. An unnormalized rational
+//! such as `{"num":2,"den":4}` is *not* a deviation: it is accepted and
+//! reduced to `1/2`, exactly as the generic path does. The wire
+//! *format* is therefore unchanged: this module is an optimization, not
+//! a dialect. Byte-equality of the two encoders and agreement of the
+//! two parsers are enforced by the unit tests below and by the property
+//! tests in `tests/prop_wire.rs`.
+//!
+//! Ids, bins, ticks and grid fractions all fit 64 bits, so numbers are
+//! read and printed in `u64` arithmetic; only literals of 20 or more
+//! digits (parsing) and magnitudes above `u64::MAX` (printing) take the
+//! 128-bit path.
 
 use crate::frame::{Request, Response};
 use crate::{BinId, Event, ItemId};
@@ -69,7 +77,7 @@ pub fn write_bin_response_traced(buf: &mut Vec<u8>, bin: BinId, trace: Option<u6
     buf.extend_from_slice(b"{\"v\":1,");
     push_trace(buf, trace);
     buf.extend_from_slice(b"\"bin\":");
-    push_i128(buf, bin.0 as i128);
+    push_u64(buf, bin.0.into());
     buf.push(b'}');
 }
 
@@ -87,7 +95,7 @@ pub fn write_bins_response_traced(buf: &mut Vec<u8>, bins: &[BinId], trace: Opti
         if i > 0 {
             buf.push(b',');
         }
-        push_i128(buf, bin.0 as i128);
+        push_u64(buf, bin.0.into());
     }
     buf.extend_from_slice(b"]}");
 }
@@ -97,7 +105,7 @@ pub fn write_bins_response_traced(buf: &mut Vec<u8>, bins: &[BinId], trace: Opti
 fn push_trace(buf: &mut Vec<u8>, trace: Option<u64>) {
     if let Some(id) = trace {
         buf.extend_from_slice(b"\"trace\":");
-        push_i128(buf, id as i128);
+        push_u64(buf, id);
         buf.push(b',');
     }
 }
@@ -109,7 +117,7 @@ fn push_tagged_event(buf: &mut Vec<u8>, ev: &Event) {
     match ev {
         Event::Arrive { id, size, time } => {
             buf.extend_from_slice(b"\"arrive\":{\"id\":");
-            push_i128(buf, id.0 as i128);
+            push_u64(buf, id.0.into());
             buf.extend_from_slice(b",\"size\":");
             push_rational(buf, *size);
             buf.extend_from_slice(b",\"time\":");
@@ -118,7 +126,7 @@ fn push_tagged_event(buf: &mut Vec<u8>, ev: &Event) {
         }
         Event::Depart { id, time } => {
             buf.extend_from_slice(b"\"depart\":{\"id\":");
-            push_i128(buf, id.0 as i128);
+            push_u64(buf, id.0.into());
             buf.extend_from_slice(b",\"time\":");
             push_rational(buf, *time);
             buf.push(b'}');
@@ -135,22 +143,37 @@ fn push_rational(buf: &mut Vec<u8>, r: Rational) {
 }
 
 fn push_i128(buf: &mut Vec<u8>, n: i128) {
-    if n == 0 {
-        buf.push(b'0');
-        return;
-    }
-    let mut digits = [0u8; 40];
-    let mut i = digits.len();
-    let negative = n < 0;
-    // Magnitude in unsigned space so `i128::MIN` doesn't overflow.
-    let mut m = n.unsigned_abs();
-    while m > 0 {
-        i -= 1;
-        digits[i] = b'0' + (m % 10) as u8;
-        m /= 10;
-    }
-    if negative {
+    if n < 0 {
         buf.push(b'-');
+    }
+    // Magnitude in unsigned space so `i128::MIN` doesn't overflow.
+    let m = n.unsigned_abs();
+    match u64::try_from(m) {
+        Ok(m) => push_u64(buf, m),
+        Err(_) => {
+            let mut digits = [0u8; 40];
+            let mut i = digits.len();
+            let mut m = m;
+            while m > 0 {
+                i -= 1;
+                digits[i] = b'0' + (m % 10) as u8;
+                m /= 10;
+            }
+            buf.extend_from_slice(&digits[i..]);
+        }
+    }
+}
+
+fn push_u64(buf: &mut Vec<u8>, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
     }
     buf.extend_from_slice(&digits[i..]);
 }
@@ -168,7 +191,9 @@ pub fn parse_request_traced(payload: &[u8]) -> Option<(Request, Option<u64>)> {
     let trace = parse_trace(&mut c)?;
     if c.starts_with(b"\"batch\":[") {
         c.lit(b"\"batch\":[")?;
-        let mut events = Vec::new();
+        // At least the batch length: each element takes at least
+        // `MIN_EVENT_BYTES` of the payload, the last one with `]}`.
+        let mut events = Vec::with_capacity(c.rest().len() / MIN_EVENT_BYTES);
         if !c.eat(b']') {
             loop {
                 c.lit(b"{")?;
@@ -241,38 +266,45 @@ fn parse_trace(c: &mut Cursor<'_>) -> Option<Option<u64>> {
     Some(Some(id))
 }
 
+// The shortest canonical batch element plus its separating comma:
+// `{"depart":{"id":0,"time":{"num":0,"den":1}}},`.
+const MIN_EVENT_BYTES: usize = 45;
+
+// Literal runs between the numbers of an event are matched fused, one
+// `lit` per gap.
 fn parse_tagged_event(c: &mut Cursor<'_>) -> Option<Event> {
     if c.starts_with(b"\"arrive\"") {
         c.lit(b"\"arrive\":{\"id\":")?;
         let id = ItemId(c.int_u32()?);
-        c.lit(b",\"size\":")?;
-        let size = parse_rational(c)?;
-        c.lit(b",\"time\":")?;
-        let time = parse_rational(c)?;
+        c.lit(b",\"size\":{\"num\":")?;
+        let size = parse_rational_tail(c)?;
+        c.lit(b",\"time\":{\"num\":")?;
+        let time = parse_rational_tail(c)?;
         c.lit(b"}")?;
         Some(Event::Arrive { id, size, time })
     } else {
         c.lit(b"\"depart\":{\"id\":")?;
         let id = ItemId(c.int_u32()?);
-        c.lit(b",\"time\":")?;
-        let time = parse_rational(c)?;
+        c.lit(b",\"time\":{\"num\":")?;
+        let time = parse_rational_tail(c)?;
         c.lit(b"}")?;
         Some(Event::Depart { id, time })
     }
 }
 
-fn parse_rational(c: &mut Cursor<'_>) -> Option<Rational> {
-    c.lit(b"{\"num\":")?;
+// `n,"den":d}` — a rational after its `{"num":` opener.
+fn parse_rational_tail(c: &mut Cursor<'_>) -> Option<Rational> {
     let num = c.int_i128()?;
     c.lit(b",\"den\":")?;
-    let den = c.int_i128()?;
+    // Canonical denominators are positive, so no sign is accepted;
+    // zero and negative ones belong to the generic path's (lenient)
+    // semantics.
+    let den = c.magnitude()?;
     c.lit(b"}")?;
-    // Non-positive denominators never appear in canonical output; the
-    // generic path owns their (lenient) semantics.
-    if den <= 0 {
+    if den == 0 {
         return None;
     }
-    Some(Rational::new(num, den))
+    Some(Rational::new(num, i128::try_from(den).ok()?))
 }
 
 struct Cursor<'a> {
@@ -318,40 +350,45 @@ impl<'a> Cursor<'a> {
     // Canonical decimal: optional `-`, no leading zeros, no overflow.
     fn int_i128(&mut self) -> Option<i128> {
         let negative = self.eat(b'-');
-        let digits = self.digits()?;
-        let mut n: i128 = 0;
-        for &d in digits {
-            n = n.checked_mul(10)?.checked_add((d - b'0') as i128)?;
-        }
-        Some(if negative { n.checked_neg()? } else { n })
+        let n = i128::try_from(self.magnitude()?).ok()?;
+        Some(if negative { -n } else { n })
     }
 
     fn int_u32(&mut self) -> Option<u32> {
-        let digits = self.digits()?;
-        let mut n: u32 = 0;
-        for &d in digits {
-            n = n.checked_mul(10)?.checked_add((d - b'0') as u32)?;
-        }
-        Some(n)
+        u32::try_from(self.int_u64()?).ok()
     }
 
     fn int_u64(&mut self) -> Option<u64> {
-        let digits = self.digits()?;
-        let mut n: u64 = 0;
-        for &d in digits {
-            n = n.checked_mul(10)?.checked_add((d - b'0') as u64)?;
-        }
-        Some(n)
+        u64::try_from(self.magnitude()?).ok()
     }
 
-    fn digits(&mut self) -> Option<&'a [u8]> {
+    // An unsigned canonical decimal: no sign, no leading zeros. Up to
+    // 19 digits always fit a `u64`, so the common case accumulates in
+    // one unchecked pass; longer literals take the checked 128-bit path.
+    fn magnitude(&mut self) -> Option<u128> {
         let rest = self.rest();
-        let len = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+        let mut n = 0u64;
+        let mut len = 0;
+        for &b in rest.iter().take(19) {
+            let d = b.wrapping_sub(b'0');
+            if d > 9 {
+                break;
+            }
+            n = n * 10 + u64::from(d);
+            len += 1;
+        }
         if len == 0 || (len > 1 && rest[0] == b'0') {
             return None;
         }
+        if rest.get(len).is_some_and(u8::is_ascii_digit) {
+            let len = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+            self.pos += len;
+            return rest[..len].iter().try_fold(0u128, |n, &d| {
+                n.checked_mul(10)?.checked_add(u128::from(d - b'0'))
+            });
+        }
         self.pos += len;
-        Some(&rest[..len])
+        Some(n.into())
     }
 }
 
@@ -548,5 +585,165 @@ mod tests {
             generic(&Request::Event(ev))
         );
         assert_eq!(parse_request(&buf), Some(Request::Event(ev)));
+    }
+
+    // Parses `payload` with both codecs: the fast parser must agree
+    // with the generic one or decline. Returns whether it accepted.
+    fn fast_agrees(payload: &str) -> bool {
+        let generic = || serde_json::parse(payload).ok();
+        if let Some(fast) = parse_request_traced(payload.as_bytes()) {
+            let value = generic().expect("fast-accepted frames are JSON");
+            assert_eq!(
+                Request::from_traced_value(&value).ok(),
+                Some(fast),
+                "{payload}"
+            );
+            return true;
+        }
+        if let Some(fast) = parse_response_traced(payload.as_bytes()) {
+            let value = generic().expect("fast-accepted frames are JSON");
+            assert_eq!(
+                Response::from_traced_value(&value).ok(),
+                Some(fast),
+                "{payload}"
+            );
+            return true;
+        }
+        false
+    }
+
+    const U64_MAX: &str = "18446744073709551615";
+    const U64_MAX_PLUS_1: &str = "18446744073709551616";
+    const I128_MAX: &str = "170141183460469231731687303715884105727";
+    const I128_MIN: &str = "-170141183460469231731687303715884105728";
+
+    #[test]
+    fn boundary_numbers_agree_with_the_generic_parser_or_decline() {
+        // (literal, fast accepts it as a numerator, as a denominator)
+        let cases = [
+            ("999999999999999999", true, true),   // 18 digits
+            ("9999999999999999999", true, true),  // 19 digits
+            ("99999999999999999999", true, true), // 20 digits
+            ("-99999999999999999999", true, false),
+            ("10000000000000000000", true, true), // smallest 20-digit
+            (U64_MAX, true, true),
+            (U64_MAX_PLUS_1, true, true),
+            (I128_MAX, true, true),
+            ("170141183460469231731687303715884105728", false, false),
+            (I128_MIN, false, false),
+            ("-0", true, false),
+            ("0", true, false),
+            ("00", false, false),
+            ("007", false, false),
+            ("-07", false, false),
+            ("-", false, false),
+            ("", false, false),
+        ];
+        for (lit, as_num, as_den) in cases {
+            let num = format!(r#"{{"v":1,"depart":{{"id":1,"time":{{"num":{lit},"den":3}}}}}}"#);
+            assert_eq!(fast_agrees(&num), as_num, "{num}");
+            let den = format!(
+                r#"{{"v":1,"arrive":{{"id":1,"size":{{"num":1,"den":2}},"time":{{"num":5,"den":{lit}}}}}}}"#
+            );
+            assert_eq!(fast_agrees(&den), as_den, "{den}");
+        }
+    }
+
+    #[test]
+    fn boundary_ids_bins_and_traces_agree_or_decline() {
+        let u32_max = u32::MAX.to_string();
+        let u32_over = (u64::from(u32::MAX) + 1).to_string();
+        for (lit, fits_u32, fits_u64) in [
+            ("0", true, true),
+            (u32_max.as_str(), true, true),
+            (u32_over.as_str(), false, true),
+            (U64_MAX, false, true),
+            (U64_MAX_PLUS_1, false, false),
+            ("01", false, false),
+            ("-1", false, false),
+        ] {
+            let id = format!(r#"{{"v":1,"depart":{{"id":{lit},"time":{{"num":0,"den":1}}}}}}"#);
+            assert_eq!(fast_agrees(&id), fits_u32, "{id}");
+            let bin = format!(r#"{{"v":1,"bin":{lit}}}"#);
+            assert_eq!(fast_agrees(&bin), fits_u32, "{bin}");
+            let bins = format!(r#"{{"v":1,"bins":[0,{lit}]}}"#);
+            assert_eq!(fast_agrees(&bins), fits_u32, "{bins}");
+            let trace = format!(r#"{{"v":1,"trace":{lit},"bin":0}}"#);
+            assert_eq!(fast_agrees(&trace), fits_u64, "{trace}");
+        }
+    }
+
+    #[test]
+    fn batches_of_the_shortest_elements_never_regrow() {
+        let depart = Event::Depart {
+            id: ItemId(0),
+            time: rat(0, 1),
+        };
+        for n in [1, 2, 1000] {
+            let mut buf = Vec::new();
+            write_batch_request(&mut buf, &vec![depart; n]);
+            match parse_request(&buf) {
+                Some(Request::Batch(events)) => assert_eq!(events.capacity(), n),
+                other => panic!("{other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn unnormalized_rationals_are_accepted_and_reduced() {
+        let payload =
+            r#"{"v":1,"arrive":{"id":3,"size":{"num":2,"den":4},"time":{"num":-0,"den":6}}}"#;
+        assert!(fast_agrees(payload));
+        assert_eq!(
+            parse_request(payload.as_bytes()),
+            Some(Request::Event(Event::Arrive {
+                id: ItemId(3),
+                size: rat(1, 2),
+                time: rat(0, 1),
+            }))
+        );
+    }
+
+    #[test]
+    fn writers_match_the_generic_encoder_at_integer_boundaries() {
+        let big = u64::MAX as i128;
+        let values = [
+            0,
+            1,
+            999_999_999_999_999_999,
+            9_999_999_999_999_999_999,
+            big - 1,
+            big,
+            big + 1,
+            i128::MAX,
+            -1,
+            -big,
+            -big - 1,
+            i128::MIN + 1,
+        ];
+        for n in values {
+            for den in [1, 7, big, big + 1, i128::MAX] {
+                let ev = Event::Depart {
+                    id: ItemId(u32::MAX),
+                    time: Rational::new(n, den),
+                };
+                let mut buf = Vec::new();
+                write_event_request(&mut buf, &ev);
+                assert_eq!(
+                    String::from_utf8(buf.clone()).unwrap(),
+                    generic(&Request::Event(ev))
+                );
+                assert_eq!(parse_request(&buf), Some(Request::Event(ev)));
+            }
+        }
+        for trace in [None, Some(0), Some(u64::MAX)] {
+            let mut buf = Vec::new();
+            write_bin_response_traced(&mut buf, BinId(u32::MAX), trace);
+            assert_eq!(
+                String::from_utf8(buf).unwrap(),
+                serde_json::to_string(&Response::Bin(BinId(u32::MAX)).to_traced_value(trace))
+                    .unwrap()
+            );
+        }
     }
 }

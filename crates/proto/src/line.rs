@@ -5,7 +5,7 @@
 //! identically. Blank lines and `#` comments are stream chrome, not
 //! events.
 
-use crate::{Event, SessionSnapshot, WIRE_VERSION};
+use crate::{Event, Request, SessionSnapshot, WIRE_VERSION};
 use serde::{Deserialize, Serialize, Value};
 
 /// Checks a parsed object's `"v"` entry (if any) and returns the
@@ -61,7 +61,20 @@ pub fn event_to_line(event: &Event) -> String {
 /// malformed JSON, an unsupported `"v"`, or a payload that is not an
 /// arrive/depart event. Both versioned and legacy untagged lines are
 /// accepted.
+///
+/// A canonical `{"v":1,"arrive"|"depart":…}` line (what
+/// [`event_to_line`] writes) is read by the [`crate::fast`] parser;
+/// every other line takes the generic path.
 pub fn parse_event_line(line: &str) -> Option<Result<Event, String>> {
+    if let Some((Request::Event(event), None)) = crate::fast::parse_request_traced(line.as_bytes())
+    {
+        return Some(Ok(event));
+    }
+    parse_generic_line(line)
+}
+
+// `parse_event_line` through the generic `Value` codec.
+fn parse_generic_line(line: &str) -> Option<Result<Event, String>> {
     let trimmed = line.trim();
     if trimmed.is_empty() || trimmed.starts_with('#') {
         return None;
@@ -103,7 +116,8 @@ pub fn checkpoint_from_json(text: &str) -> Result<SessionSnapshot, String> {
 mod tests {
     use super::*;
     use dbp_core::ItemId;
-    use dbp_numeric::rat;
+    use dbp_numeric::{rat, Rational};
+    use proptest::prelude::*;
 
     fn arrive() -> Event {
         Event::Arrive {
@@ -141,6 +155,71 @@ mod tests {
         let line = "{\"v\":2,\"depart\":{\"id\":1,\"time\":{\"num\":1,\"den\":1}}}";
         let err = parse_event_line(line).unwrap().unwrap_err();
         assert!(err.contains("unsupported wire version 2"), "{err}");
+    }
+
+    #[test]
+    fn non_event_frames_take_the_generic_path_unchanged() {
+        let body = r#""arrive":{"id":7,"size":{"num":3,"den":8},"time":{"num":5,"den":2}}"#;
+        for line in [
+            format!(r#"{{"v":1,"trace":9,{body}}}"#),
+            format!(r#"{{"v":1,"batch":[{{{body}}}]}}"#),
+            format!(r#"{{"v":2,{body}}}"#),
+            format!(r#"{{{body}}}"#),
+            format!(r#"  {{"v":1,{body}}} "#),
+            r#"{"v":1,"bin":3}"#.to_string(),
+            "{\"v\":1,".to_string(),
+        ] {
+            assert_eq!(parse_event_line(&line), parse_generic_line(&line), "{line}");
+        }
+        // The legacy untagged line still parses; a batch is still the
+        // generic path's error.
+        assert_eq!(
+            parse_event_line(&format!(r#"{{{body}}}"#)),
+            Some(Ok(arrive()))
+        );
+        assert!(matches!(
+            parse_event_line(&format!(r#"{{"v":1,"batch":[{{{body}}}]}}"#)),
+            Some(Err(_))
+        ));
+    }
+
+    fn wide_i128() -> impl Strategy<Value = i128> {
+        let big = u64::MAX as i128;
+        prop_oneof![
+            -1_000i128..=1_000,
+            -big - 5..=-big + 5,
+            big - 5..=big + 5,
+            i128::MIN / 2..=i128::MAX / 2,
+        ]
+    }
+
+    fn event_strategy() -> impl Strategy<Value = Event> {
+        let rational = || {
+            (wide_i128(), wide_i128())
+                .prop_map(|(n, d)| Rational::new(n, if d == 0 { 1 } else { d.abs() }))
+        };
+        let arrive =
+            (0u32..=u32::MAX, rational(), rational()).prop_map(|(id, size, time)| Event::Arrive {
+                id: ItemId(id),
+                size,
+                time,
+            });
+        let depart = (0u32..=u32::MAX, rational()).prop_map(|(id, time)| Event::Depart {
+            id: ItemId(id),
+            time,
+        });
+        prop_oneof![arrive, depart]
+    }
+
+    proptest! {
+        /// Both parse paths read every line `event_to_line` writes as
+        /// the event it came from.
+        #[test]
+        fn fast_and_generic_line_parsers_agree(ev in event_strategy()) {
+            let line = event_to_line(&ev);
+            prop_assert_eq!(parse_generic_line(&line), Some(Ok(ev)));
+            prop_assert_eq!(parse_event_line(&line), Some(Ok(ev)));
+        }
     }
 
     #[test]

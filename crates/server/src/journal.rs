@@ -13,10 +13,10 @@
 //! resumed tenant bit-identical to one that never stopped — the
 //! property the crash-recovery integration test pins down.
 
-use dbp_proto::{event_to_line, parse_event_line, Backend, Event, TickGrid, WIRE_VERSION};
+use dbp_proto::{fast, parse_event_line, Backend, Event, TickGrid, WIRE_VERSION};
 use serde::{Deserialize, Serialize, Value};
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// The session shape recorded in a journal header (everything a
@@ -84,6 +84,8 @@ impl Deserialize for JournalHeader {
 pub struct Journal {
     path: PathBuf,
     writer: BufWriter<File>,
+    // One frame's encoded lines, reused across appends.
+    lines: Vec<u8>,
 }
 
 /// The journal file for `tenant` under `dir`. Tenant keys are
@@ -132,6 +134,7 @@ impl Journal {
         let mut journal = Journal {
             path,
             writer: BufWriter::new(file),
+            lines: Vec::new(),
         };
         let line =
             serde_json::to_string(&header.to_value()).expect("journal headers always serialize");
@@ -142,22 +145,36 @@ impl Journal {
     }
 
     /// Reopens an existing journal for appending (after recovery).
+    ///
+    /// A torn last line — bytes after the final newline, left by a
+    /// process killed mid-append — is cut off first, so the next
+    /// append starts a line of its own instead of fusing onto the
+    /// fragment. That line was never acknowledged: the ack follows the
+    /// flush of the whole line.
     pub fn reopen(dir: &Path, tenant: &str) -> io::Result<Journal> {
         let path = journal_path(dir, tenant);
-        let file = OpenOptions::new().append(true).open(&path)?;
+        let mut file = OpenOptions::new().read(true).append(true).open(&path)?;
+        let complete = complete_len(&mut file)?;
+        if complete < file.metadata()?.len() {
+            file.set_len(complete)?;
+        }
         Ok(Journal {
             path,
             writer: BufWriter::new(file),
+            lines: Vec::new(),
         })
     }
 
     /// Appends accepted events and flushes — must complete before the
-    /// events are acknowledged on the wire.
+    /// events are acknowledged on the wire. The lines are the bytes
+    /// [`dbp_proto::event_to_line`] renders, each ending in `\n`.
     pub fn append(&mut self, events: &[Event]) -> io::Result<()> {
+        self.lines.clear();
         for event in events {
-            self.writer.write_all(event_to_line(event).as_bytes())?;
-            self.writer.write_all(b"\n")?;
+            fast::write_event_request(&mut self.lines, event);
+            self.lines.push(b'\n');
         }
+        self.writer.write_all(&self.lines)?;
         self.writer.flush()
     }
 
@@ -190,27 +207,64 @@ pub struct RecoveredJournal {
     pub events: Vec<Event>,
 }
 
+/// Length of `file` up to and including its last newline (0 when it
+/// has none), found by reading backwards from the end.
+fn complete_len(file: &mut File) -> io::Result<u64> {
+    let mut end = file.metadata()?.len();
+    let mut block = [0u8; 4096];
+    while end > 0 {
+        let start = end.saturating_sub(block.len() as u64);
+        let chunk = &mut block[..(end - start) as usize];
+        file.seek(SeekFrom::Start(start))?;
+        file.read_exact(chunk)?;
+        if let Some(i) = chunk.iter().rposition(|&b| b == b'\n') {
+            return Ok(start + i as u64 + 1);
+        }
+        end = start;
+    }
+    Ok(0)
+}
+
 /// Reads one journal file back.
+///
+/// Every complete (newline-terminated) line must parse. A torn final
+/// line without its newline was never acknowledged and is dropped;
+/// [`Journal::reopen`] truncates it before appending.
 pub fn read_journal(path: &Path) -> io::Result<RecoveredJournal> {
     let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    let mut lines = BufReader::new(File::open(path)?).lines();
-    let header_line = lines
-        .next()
-        .ok_or_else(|| bad(format!("{}: empty journal", path.display())))??;
-    let header_value = serde_json::parse(&header_line)
+    let mut reader = BufReader::new(File::open(path)?);
+    let mut buf = Vec::new();
+    let header_line = complete_line(&mut reader, &mut buf)?
+        .ok_or_else(|| bad(format!("{}: empty journal", path.display())))?;
+    let header_value = serde_json::parse(header_line)
         .map_err(|e| bad(format!("{}: bad journal header: {e}", path.display())))?;
     let header = JournalHeader::from_value(&header_value)
         .map_err(|e| bad(format!("{}: bad journal header: {e}", path.display())))?;
     let mut events = Vec::new();
-    for line in lines {
-        let line = line?;
-        match parse_event_line(&line) {
+    while let Some(line) = complete_line(&mut reader, &mut buf)? {
+        match parse_event_line(line) {
             Some(Ok(event)) => events.push(event),
             Some(Err(e)) => return Err(bad(format!("{}: bad journal line: {e}", path.display()))),
             None => {}
         }
     }
     Ok(RecoveredJournal { header, events })
+}
+
+// The next line without its newline; `None` at the end of the file and
+// at a final line that has no newline.
+fn complete_line<'a>(
+    reader: &mut impl BufRead,
+    buf: &'a mut Vec<u8>,
+) -> io::Result<Option<&'a str>> {
+    buf.clear();
+    reader.read_until(b'\n', buf)?;
+    if buf.pop() != Some(b'\n') {
+        return Ok(None);
+    }
+    std::str::from_utf8(buf)
+        .map(Some)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// Every journal found under `dir`, in deterministic (path-sorted)
@@ -274,6 +328,83 @@ mod tests {
 
         journal.remove().unwrap();
         assert!(scan_journals(&dir).unwrap().is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn events(n: u32) -> Vec<Event> {
+        (0..n)
+            .map(|i| match i % 3 {
+                2 => Event::Depart {
+                    id: ItemId(i - 2),
+                    time: rat(i as i128, 7),
+                },
+                _ => Event::Arrive {
+                    id: ItemId(i),
+                    size: rat(1 + i as i128 % 5, 8),
+                    time: rat(i as i128, 7),
+                },
+            })
+            .collect()
+    }
+
+    #[test]
+    fn appended_bytes_are_the_event_lines() {
+        let dir = std::env::temp_dir().join(format!("dbp-journal-bytes-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let events = events(40);
+        let mut journal = Journal::create(&dir, &header()).unwrap();
+        let header_bytes = fs::read(journal_path(&dir, "acme")).unwrap();
+        for frame in [&events[..1], &events[1..25], &events[25..25], &events[25..]] {
+            journal.append(frame).unwrap();
+        }
+        let mut expected = header_bytes;
+        for event in &events {
+            expected.extend_from_slice(dbp_proto::event_to_line(event).as_bytes());
+            expected.push(b'\n');
+        }
+        assert_eq!(fs::read(journal_path(&dir, "acme")).unwrap(), expected);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_tail_is_dropped_and_truncated_before_appending() {
+        let dir = std::env::temp_dir().join(format!("dbp-journal-torn-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let events = events(6);
+        Journal::create(&dir, &header())
+            .unwrap()
+            .append(&events[..4])
+            .unwrap();
+        let path = journal_path(&dir, "acme");
+        let whole = fs::read(&path).unwrap();
+        let line = dbp_proto::event_to_line(&events[3]).len() + 1;
+        for cut in [1, line / 2, line - 1] {
+            // Keep `cut` bytes of the last line: three complete events
+            // and a fragment without its newline.
+            fs::write(&path, &whole[..whole.len() - line + cut]).unwrap();
+            assert_eq!(read_journal(&path).unwrap().events, &events[..3]);
+
+            let mut journal = Journal::reopen(&dir, "acme").unwrap();
+            assert_eq!(
+                fs::read(&path).unwrap(),
+                &whole[..whole.len() - line],
+                "reopen cuts the fragment"
+            );
+            journal.append(&events[3..]).unwrap();
+            let recovered = read_journal(&path).unwrap();
+            assert_eq!(
+                (recovered.header, recovered.events),
+                (header(), events.clone())
+            );
+            fs::write(&path, &whole).unwrap();
+        }
+
+        // A bad line that does end in a newline is still an error.
+        let mut damaged = whole[..whole.len() - line].to_vec();
+        damaged.extend_from_slice(b"{\"v\":1,\"arrive\":\n");
+        fs::write(&path, &damaged).unwrap();
+        let err = read_journal(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 

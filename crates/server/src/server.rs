@@ -20,7 +20,7 @@ use dbp_proto::{
     fast, read_frame_raw, write_frame_bytes, ErrorKind, RawFrame, Request, Response, WireError,
 };
 use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -399,7 +399,11 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 if let Ok(handle) = std::thread::Builder::new()
                     .name("dbp-server-conn".into())
                     .spawn(move || {
-                        let _ = serve_connection(stream, conn_shared, conn);
+                        let _ = serve_connection(&stream, conn_shared, conn);
+                        // `conns` keeps a clone for `stop`, so dropping
+                        // ours would not close the socket: shut it down
+                        // so the peer sees the close now.
+                        let _ = stream.shutdown(std::net::Shutdown::Both);
                     })
                 {
                     workers.push(handle);
@@ -467,7 +471,7 @@ enum ReadOutcome {
 // path, everything else falls back to the generic codec. Both paths
 // surface the frame's `trace` id — tracing is per-frame and needs no
 // negotiation, so a client may start (or stop) sending ids anytime.
-fn read_request(r: &mut impl io::BufRead, scratch: &mut Vec<u8>) -> io::Result<ReadOutcome> {
+fn read_request(r: &mut impl BufRead, scratch: &mut Vec<u8>) -> io::Result<ReadOutcome> {
     match read_frame_raw(r, scratch)? {
         RawFrame::Eof => Ok(ReadOutcome::Eof),
         RawFrame::Payload => {
@@ -493,6 +497,31 @@ fn read_request(r: &mut impl io::BufRead, scratch: &mut Vec<u8>) -> io::Result<R
             })
         }
     }
+}
+
+/// Largest frame a connection may send before its hello succeeds. A
+/// hello is a tenant key, a token and a few settings; the general
+/// `MAX_FRAME_BYTES` ceiling applies only once a tenant is attached.
+const MAX_PRE_HELLO_FRAME_BYTES: u64 = 64 << 10;
+
+// The first frame of a connection, refused from its length line alone
+// when it declares more than `MAX_PRE_HELLO_FRAME_BYTES`: the payload
+// is never read, so an unauthenticated peer cannot make the daemon
+// buffer it. Any other length line is handed back to `read_request`,
+// which owns every framing rule.
+fn read_first_request(r: &mut impl BufRead, scratch: &mut Vec<u8>) -> io::Result<ReadOutcome> {
+    // Any `u64` length line: 20 digits and its newline.
+    let mut len_line = Vec::with_capacity(21);
+    r.take(21).read_until(b'\n', &mut len_line)?;
+    let declared = std::str::from_utf8(&len_line)
+        .ok()
+        .and_then(|text| text.trim().parse::<u64>().ok());
+    if let Some(len) = declared.filter(|&len| len > MAX_PRE_HELLO_FRAME_BYTES) {
+        return Ok(ReadOutcome::Malformed(format!(
+            "frame of {len} bytes before hello exceeds the {MAX_PRE_HELLO_FRAME_BYTES}-byte limit"
+        )));
+    }
+    read_request(&mut len_line.chain(r), scratch)
 }
 
 // Closes a placement span: encodes the response under the Encode
@@ -529,9 +558,9 @@ fn finish_placement(
 /// One connection's lifecycle: hello, then a request/response loop
 /// against the attached tenant. `conn` is the connection ordinal
 /// (slow-request Chrome track id).
-fn serve_connection(stream: TcpStream, shared: Arc<Shared>, conn: u64) -> io::Result<()> {
+fn serve_connection(stream: &TcpStream, shared: Arc<Shared>, conn: u64) -> io::Result<()> {
     stream.set_nodelay(true)?;
-    let mut reader = BufReader::with_capacity(1 << 16, stream.try_clone()?);
+    let mut reader = BufReader::with_capacity(1 << 16, stream);
     let mut writer = BufWriter::with_capacity(1 << 16, stream);
     let mut scratch: Vec<u8> = Vec::new();
     let mut out: Vec<u8> = Vec::new();
@@ -539,7 +568,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>, conn: u64) -> io::Re
     // Hello first. Protocol violations before attach get one typed
     // error and the connection closes. A traced hello gets its id
     // echoed like any other frame.
-    let (hello, hello_trace) = match read_request(&mut reader, &mut scratch)? {
+    let (hello, hello_trace) = match read_first_request(&mut reader, &mut scratch)? {
         ReadOutcome::Eof => return Ok(()),
         ReadOutcome::Malformed(e) => {
             shared.errors_total.fetch_add(1, Ordering::Relaxed);
@@ -803,6 +832,66 @@ fn handle_shutdown(
         Err(e) => {
             shared.errors_total.fetch_add(1, Ordering::Relaxed);
             send(writer, out, &Response::Error(e), trace)
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn oversized_frame_before_hello_is_refused_unread() {
+        // A 64 MiB declaration followed by 1 MiB of payload bytes.
+        let mut wire = format!("{}\n", 64u64 << 20).into_bytes();
+        wire.resize(wire.len() + (1 << 20), b'x');
+        let mut reader = io::BufReader::new(&wire[..]);
+        let mut scratch = Vec::new();
+        match read_first_request(&mut reader, &mut scratch).unwrap() {
+            ReadOutcome::Malformed(e) => assert!(e.contains("before hello"), "{e}"),
+            _ => panic!("expected a refusal"),
+        }
+        assert!(scratch.capacity() < 128 << 10, "{}", scratch.capacity());
+        // Not one payload byte was consumed.
+        assert_eq!(reader.buffer().len() + reader.into_inner().len(), 1 << 20);
+    }
+
+    #[test]
+    fn first_frames_within_the_cap_read_as_usual() {
+        let hello = r#"{"v":1,"hello":{"tenant":"t","algo":"firstfit"}}"#;
+        let wire = format!("{}\n{hello}\n{}\n", hello.len(), 64u64 << 20);
+        let mut reader = io::BufReader::new(wire.as_bytes());
+        let mut scratch = Vec::new();
+        assert!(matches!(
+            read_first_request(&mut reader, &mut scratch).unwrap(),
+            ReadOutcome::Frame(TracedRequest {
+                request: Request::Hello(_),
+                ..
+            })
+        ));
+        // Past the hello the general ceiling applies again: the next
+        // 64 MiB declaration is a framing error only once the stream
+        // ends inside it.
+        let err = match read_request(&mut reader, &mut scratch) {
+            Err(e) => e,
+            Ok(_) => panic!("expected a truncated frame"),
+        };
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+
+        for (wire, kind) in [
+            ("", None),
+            (
+                "12345678901234567890123\n",
+                Some(io::ErrorKind::InvalidData),
+            ),
+            ("abc\n", Some(io::ErrorKind::InvalidData)),
+        ] {
+            let mut reader = io::BufReader::new(wire.as_bytes());
+            match read_first_request(&mut reader, &mut scratch) {
+                Ok(ReadOutcome::Eof) => assert_eq!(kind, None, "{wire:?}"),
+                Err(e) => assert_eq!(Some(e.kind()), kind, "{wire:?}"),
+                Ok(_) => panic!("{wire:?}: unexpected frame"),
+            }
         }
     }
 }

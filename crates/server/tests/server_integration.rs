@@ -185,6 +185,59 @@ fn crash_recovery_resumes_bit_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A process killed mid-append leaves a last line without its newline.
+/// That event was never acked, so a restart drops it instead of
+/// failing, and later appends start on a fresh line.
+#[test]
+fn torn_journal_tail_recovers_the_complete_lines() {
+    let dir = test_dir("torn");
+    let config = || ServerConfig {
+        journal_dir: Some(dir.clone()),
+        ..ServerConfig::default()
+    };
+    let connect = |server: &DbpServer| {
+        Client::builder("firstfit")
+            .tenant("acme")
+            .grid(TickGrid::new(1, 32))
+            .connect(server.local_addr())
+            .unwrap()
+    };
+    let events = wave_stream(6, 4);
+    let head = &events[..events.len() / 2];
+
+    let server = DbpServer::start(config()).unwrap();
+    let mut client = connect(&server);
+    client.ingest(head).unwrap();
+    server.stop();
+    drop(client);
+
+    // Cut the journal inside its last event line.
+    let path = dbp_server::journal::journal_path(&dir, "acme");
+    let bytes = std::fs::read(&path).unwrap();
+    let last_line = dbp_proto::event_to_line(head.last().unwrap()).len() + 1;
+    std::fs::write(&path, &bytes[..bytes.len() - last_line / 2]).unwrap();
+    let complete = head.len() - 1;
+
+    let server = DbpServer::start(config()).unwrap();
+    let mut client = connect(&server);
+    assert_eq!(client.resumed_events(), complete as u64);
+    client.ingest(&events[complete..events.len() - 3]).unwrap();
+    server.stop();
+    drop(client);
+
+    // The second restart replays everything acked since, bit-identically.
+    let server = DbpServer::start(config()).unwrap();
+    let mut client = connect(&server);
+    assert_eq!(client.resumed_events(), events.len() as u64 - 3);
+    client.ingest(&events[events.len() - 3..]).unwrap();
+    assert_eq!(
+        client.finish().unwrap(),
+        vec![session_outcome("firstfit", &events)]
+    );
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `a.b` and `a_b` share a journal file name. The second hello must be
 /// refused rather than truncate the first tenant's journal, which a
 /// restart then recovers intact.
@@ -474,6 +527,59 @@ fn traced_frames_need_no_negotiation() {
         RawFrame::Payload
     ));
     assert_eq!(scratch, br#"{"v":1,"trace":7,"bin":0}"#);
+}
+
+/// Before hello a peer is unauthenticated: a huge declared frame gets
+/// one typed protocol error and the connection closes, while other
+/// connections keep being served.
+#[test]
+fn oversized_frame_before_hello_is_refused() {
+    use dbp_proto::{read_frame_raw, RawFrame, Response};
+
+    let server = DbpServer::start(ServerConfig::default()).unwrap();
+    let stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    // A daemon waiting for the payload fails the test instead of
+    // hanging it.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    writer
+        .write_all(format!("{}\n", 64u64 << 20).as_bytes())
+        .unwrap();
+    writer.flush().unwrap();
+
+    let mut scratch = Vec::new();
+    assert!(matches!(
+        read_frame_raw(&mut reader, &mut scratch).unwrap(),
+        RawFrame::Payload
+    ));
+    let value = serde_json::parse(std::str::from_utf8(&scratch).unwrap()).unwrap();
+    match Response::from_traced_value(&value).unwrap().0 {
+        Response::Error(e) => {
+            assert_eq!(e.kind, ErrorKind::Protocol, "{e}");
+            assert!(e.message.contains("before hello"), "{e}");
+        }
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    assert!(matches!(
+        read_frame_raw(&mut reader, &mut scratch).unwrap(),
+        RawFrame::Eof
+    ));
+
+    let mut client = Client::builder("firstfit")
+        .tenant("after")
+        .connect(server.local_addr())
+        .unwrap();
+    client
+        .apply(&Event::Arrive {
+            id: ItemId(0),
+            size: rat(1, 2),
+            time: rat(0, 1),
+        })
+        .unwrap();
+    server.stop();
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Per-algorithm packing throughput on random workloads.
 //!
-//! Measures `run_packing` end-to-end (event replay + placement +
+//! Measures a `Runner` replay end-to-end (event replay + placement +
 //! accounting) for each algorithm at several instance sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -12,11 +12,8 @@ use dbp_workloads::RandomWorkload;
 fn algorithms() -> Vec<Box<dyn PackingAlgorithm>> {
     vec![
         Box::new(FirstFit::new()),
-        Box::new(FirstFitFast::new()),
         Box::new(BestFit::new()),
-        Box::new(BestFitFast::new()),
         Box::new(WorstFit::new()),
-        Box::new(WorstFitFast::new()),
         Box::new(NextFit::new()),
         Box::new(HybridFirstFit::classic()),
     ]

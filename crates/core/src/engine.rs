@@ -186,9 +186,9 @@ impl PackingOutcome {
         }
     }
 
-    /// Relabels the algorithm name (the tick fallback path runs a
-    /// `*Fast` algorithm but reports the canonical policy name so
-    /// both engines produce literally identical outcomes).
+    /// Relabels the algorithm name (a batch tick run reports the name
+    /// of the algorithm that drove it, so both engines produce
+    /// literally identical outcomes).
     pub(crate) fn with_algorithm(mut self, algorithm: &str) -> PackingOutcome {
         self.algorithm = algorithm.to_string();
         self
@@ -212,7 +212,7 @@ const NO_SLOT: u32 = u32::MAX;
 
 /// The incremental engine. Drive it with [`arrive`](Self::arrive) /
 /// [`depart`](Self::depart) in non-decreasing time order (the
-/// instance-replay helper [`run_packing`] does this for you), then
+/// batch [`crate::session::Runner`] does this for you), then
 /// call [`finish`](Self::finish).
 pub struct PackingEngine {
     /// Open bins sorted by id, as exposed to algorithms.
@@ -675,8 +675,9 @@ impl PackingEngine {
 /// precede arrivals (half-open intervals); equal-time same-class
 /// events run in item order. Build it once per instance and replay it
 /// against any number of algorithms with
-/// [`run_packing_scheduled`] — a sweep over `k` algorithms pays one
-/// sort instead of `k` heap fills of `2n` entries each.
+/// [`Runner::schedule`](crate::session::Runner::schedule) — a sweep
+/// over `k` algorithms pays one sort instead of `k` heap fills of
+/// `2n` entries each.
 pub fn event_schedule(instance: &Instance) -> EventSchedule<ItemId> {
     let mut entries = Vec::with_capacity(instance.len() * 2);
     for item in instance.items() {
@@ -684,93 +685,6 @@ pub fn event_schedule(instance: &Instance) -> EventSchedule<ItemId> {
         entries.push((item.departure(), EventClass::Departure, item.id));
     }
     EventSchedule::new(entries)
-}
-
-/// Exact-engine batch replay behind the deprecated `run_packing*`
-/// shims: one [`crate::session::Runner`] invocation, unwrapped back
-/// to the legacy [`PackingError`] (the exact batch path can surface
-/// nothing else).
-pub(crate) fn runner_exact(
-    instance: &Instance,
-    schedule: Option<&EventSchedule<ItemId>>,
-    algo: &mut dyn PackingAlgorithm,
-    obs: &mut dyn EngineObserver,
-) -> Result<PackingOutcome, PackingError> {
-    use crate::session::{Backend, Runner, SessionError};
-    let mut runner = Runner::new(instance).backend(Backend::Exact).observer(obs);
-    if let Some(schedule) = schedule {
-        runner = runner.schedule(schedule);
-    }
-    runner.run(algo).map_err(|e| match e {
-        SessionError::Packing(e) => e,
-        other => unreachable!("exact batch replay surfaces only packing errors: {other}"),
-    })
-}
-
-/// Replays a whole instance against an algorithm and returns the
-/// completed outcome.
-///
-/// Event order: global time order; at equal times departures precede
-/// arrivals (half-open intervals), and equal-time same-class events
-/// run in item order — this is what makes adversarial constructions
-/// like §VIII's "let n pairs of items arrive in sequence"
-/// deterministic.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `dbp_core::session::Runner::new(i).run(algo)`"
-)]
-pub fn run_packing(
-    instance: &Instance,
-    algo: &mut dyn PackingAlgorithm,
-) -> Result<PackingOutcome, PackingError> {
-    runner_exact(instance, None, algo, &mut NoopObserver)
-}
-
-/// [`run_packing`] with instrumentation: every engine event is also
-/// reported to `obs` (see [`EngineObserver`] for the exact firing
-/// points).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `dbp_core::session::Runner::new(i).observer(obs).run(algo)`"
-)]
-pub fn run_packing_observed(
-    instance: &Instance,
-    algo: &mut dyn PackingAlgorithm,
-    obs: &mut dyn EngineObserver,
-) -> Result<PackingOutcome, PackingError> {
-    runner_exact(instance, None, algo, obs)
-}
-
-/// [`run_packing`] over a prebuilt [`event_schedule`]: the caller
-/// owns the schedule and may replay it against many algorithms.
-///
-/// `schedule` must be the schedule of `instance` (or at least
-/// reference only its item ids in non-decreasing time order); a
-/// mismatched schedule surfaces as a normal [`PackingError`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `dbp_core::session::Runner::new(i).schedule(s).run(algo)`"
-)]
-pub fn run_packing_scheduled(
-    instance: &Instance,
-    schedule: &EventSchedule<ItemId>,
-    algo: &mut dyn PackingAlgorithm,
-) -> Result<PackingOutcome, PackingError> {
-    runner_exact(instance, Some(schedule), algo, &mut NoopObserver)
-}
-
-/// [`run_packing_scheduled`] with instrumentation.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `dbp_core::session::Runner::new(i).schedule(s).observer(obs).run(algo)`"
-)]
-pub fn run_packing_scheduled_observed(
-    instance: &Instance,
-    schedule: &EventSchedule<ItemId>,
-    algo: &mut dyn PackingAlgorithm,
-    obs: &mut dyn EngineObserver,
-) -> Result<PackingOutcome, PackingError> {
-    runner_exact(instance, Some(schedule), algo, obs)
 }
 
 #[cfg(test)]
@@ -942,7 +856,7 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_replay_matches_run_packing_and_is_reusable() {
+    fn scheduled_replay_matches_a_fresh_schedule_and_is_reusable() {
         let i = inst(&[(1, 2, 0, 2), (1, 2, 1, 4), (1, 2, 6, 7), (2, 3, 0, 2)]);
         let direct = Runner::new(&i).run(&mut FirstFit::new()).unwrap();
         let sched = event_schedule(&i);

@@ -7,9 +7,8 @@
 //! snapshots (the `dbp-obs` crate) attach to a run.
 //!
 //! Every callback has a no-op default body, so an observer implements
-//! only what it cares about, and the unobserved entry points
-//! ([`crate::engine::run_packing`] etc.) route through the zero-sized
-//! [`NoopObserver`] at no allocation cost.
+//! only what it cares about, and unobserved runs route through the
+//! zero-sized [`NoopObserver`] at no allocation cost.
 //!
 //! Observation points fire at precise moments:
 //!

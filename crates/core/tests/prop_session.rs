@@ -63,16 +63,13 @@ fn events_of(inst: &Instance) -> Vec<Event> {
         .collect()
 }
 
-/// Algorithms a session can stream through: the linear zoo plus the
-/// indexed fast variants (which are also the tick-capable ones).
+/// Algorithms a session can stream through: the tick-capable
+/// Any-Fit rules.
 fn algorithms() -> Vec<Box<dyn PackingAlgorithm>> {
     vec![
         Box::new(FirstFit::new()),
         Box::new(BestFit::new()),
         Box::new(WorstFit::new()),
-        Box::new(FirstFitFast::new()),
-        Box::new(BestFitFast::new()),
-        Box::new(WorstFitFast::new()),
     ]
 }
 
@@ -180,9 +177,6 @@ proptest! {
                 "FirstFit" => stream(&events, || Session::builder(FirstFit::new()).build()),
                 "BestFit" => stream(&events, || Session::builder(BestFit::new()).build()),
                 "WorstFit" => stream(&events, || Session::builder(WorstFit::new()).build()),
-                "FirstFitFast" => stream(&events, || Session::builder(FirstFitFast::new()).build()),
-                "BestFitFast" => stream(&events, || Session::builder(BestFitFast::new()).build()),
-                "WorstFitFast" => stream(&events, || Session::builder(WorstFitFast::new()).build()),
                 other => unreachable!("unexpected algorithm {other}"),
             };
             prop_assert_eq!(streamed, batch);
@@ -197,9 +191,9 @@ proptest! {
         let events = events_of(&inst);
         let batch = Runner::new(&inst)
             .backend(Backend::Exact)
-            .run(&mut FirstFitFast::new())
+            .run(&mut FirstFit::new())
             .unwrap();
-        let mut session = Session::builder(FirstFitFast::new())
+        let mut session = Session::builder(FirstFit::new())
             .grid(TickGrid::new(4, 8))
             .build()
             .unwrap();
@@ -258,9 +252,9 @@ proptest! {
             }
             s.finish().unwrap()
         };
-        prop_assert_eq!(tick_of(Box::new(FirstFitFast::new())), exact_of(Box::new(FirstFitFast::new())));
-        prop_assert_eq!(tick_of(Box::new(BestFitFast::new())), exact_of(Box::new(BestFitFast::new())));
-        prop_assert_eq!(tick_of(Box::new(WorstFitFast::new())), exact_of(Box::new(WorstFitFast::new())));
+        prop_assert_eq!(tick_of(Box::new(FirstFit::new())), exact_of(Box::new(FirstFit::new())));
+        prop_assert_eq!(tick_of(Box::new(BestFit::new())), exact_of(Box::new(BestFit::new())));
+        prop_assert_eq!(tick_of(Box::new(WorstFit::new())), exact_of(Box::new(WorstFit::new())));
     }
 
     /// Live metrics agree with the finished outcome: after the last
@@ -402,7 +396,7 @@ fn resume_rejects_unknown_and_mismatched_algorithms() {
 
 #[test]
 fn strict_tick_sessions_reject_off_grid_events() {
-    let mut session = Session::builder(FirstFitFast::new())
+    let mut session = Session::builder(FirstFit::new())
         .backend(Backend::Tick)
         .grid(TickGrid::new(1, 4))
         .build()

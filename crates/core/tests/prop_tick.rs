@@ -6,12 +6,12 @@
 //! the *packing* may change. These properties replay random
 //! instances — dense with equal-time departure/arrival boundaries,
 //! exact fills, and mid-run bin closures — through the `TickEngine`
-//! and through both the linear-scan references and the tree-backed
-//! `*Fast` algorithms, and require **bit-identical** outcomes:
-//! assignments, per-bin usage intervals, exact level integrals and
-//! peaks, the `Σ_k |U_k|` objective, and peak concurrency. A separate
-//! property drives instances that cannot compile (oversized LCMs,
-//! out-of-range horizons) through `run_packing_auto` and asserts the
+//! and through the linear-scan references on the exact engine, and
+//! require **bit-identical** outcomes: assignments, per-bin usage
+//! intervals, exact level integrals and peaks, the `Σ_k |U_k|`
+//! objective, and peak concurrency. A separate property drives
+//! instances that cannot compile (oversized LCMs, out-of-range
+//! horizons) through a `Backend::Auto` runner and asserts the
 //! Rational fallback is transparent.
 
 use dbp_core::prelude::*;
@@ -123,17 +123,16 @@ fn replay_per_event_tuned(
 }
 
 /// Compiles and runs `policy`, then checks full outcome equality
-/// (name included) against the linear reference and field equality
-/// against the `*Fast` tree algorithm.
+/// (name included) against the linear reference on the exact engine.
 fn assert_tick_equivalent(
     inst: &Instance,
     policy: TickPolicy,
     linear: &mut dyn PackingAlgorithm,
-    fast: &mut dyn PackingAlgorithm,
 ) -> Result<(), TestCaseError> {
     let compiled = CompiledInstance::compile(inst).expect("strategy instances compile");
     let tick: PackingOutcome = compiled.run(policy).expect("tick run succeeds");
     let exact: PackingOutcome = Runner::new(inst)
+        .backend(Backend::Exact)
         .run(linear)
         .expect("reference run succeeds");
     prop_assert_eq!(
@@ -142,11 +141,6 @@ fn assert_tick_equivalent(
         "tick {} diverged from reference",
         policy.name()
     );
-    let tree: PackingOutcome = Runner::new(inst).run(fast).expect("fast run succeeds");
-    prop_assert_eq!(tick.assignments(), tree.assignments());
-    prop_assert_eq!(tick.bins(), tree.bins());
-    prop_assert_eq!(tick.total_usage(), tree.total_usage());
-    prop_assert_eq!(tick.max_open_bins(), tree.max_open_bins());
     Ok(())
 }
 
@@ -155,50 +149,25 @@ proptest! {
 
     #[test]
     fn tick_first_fit_is_bit_identical(inst in instance_strategy()) {
-        assert_tick_equivalent(
-            &inst,
-            TickPolicy::FirstFit,
-            &mut FirstFit::new(),
-            &mut FirstFitFast::new(),
-        )?;
+        assert_tick_equivalent(&inst, TickPolicy::FirstFit, &mut FirstFit::new())?;
     }
 
     #[test]
     fn tick_best_fit_is_bit_identical(inst in instance_strategy()) {
-        assert_tick_equivalent(
-            &inst,
-            TickPolicy::BestFit,
-            &mut BestFit::new(),
-            &mut BestFitFast::new(),
-        )?;
+        assert_tick_equivalent(&inst, TickPolicy::BestFit, &mut BestFit::new())?;
     }
 
     #[test]
     fn tick_worst_fit_is_bit_identical(inst in instance_strategy()) {
-        assert_tick_equivalent(
-            &inst,
-            TickPolicy::WorstFit,
-            &mut WorstFit::new(),
-            &mut WorstFitFast::new(),
-        )?;
+        assert_tick_equivalent(&inst, TickPolicy::WorstFit, &mut WorstFit::new())?;
     }
 
     /// Equal-timestamp bursts: the integer engine must reproduce the
     /// heap's departure-before-arrival, item-order tie-breaking.
     #[test]
     fn tick_handles_equal_time_bursts(inst in burst_strategy()) {
-        assert_tick_equivalent(
-            &inst,
-            TickPolicy::FirstFit,
-            &mut FirstFit::new(),
-            &mut FirstFitFast::new(),
-        )?;
-        assert_tick_equivalent(
-            &inst,
-            TickPolicy::BestFit,
-            &mut BestFit::new(),
-            &mut BestFitFast::new(),
-        )?;
+        assert_tick_equivalent(&inst, TickPolicy::FirstFit, &mut FirstFit::new())?;
+        assert_tick_equivalent(&inst, TickPolicy::BestFit, &mut BestFit::new())?;
     }
 
     /// Instances that refuse to compile run through the Rational
@@ -206,15 +175,20 @@ proptest! {
     #[test]
     fn auto_fallback_is_transparent(inst in overflow_strategy()) {
         prop_assert!(CompiledInstance::compile(&inst).is_err());
-        for (policy, mut linear) in [
-            (TickPolicy::FirstFit, Box::new(FirstFit::new()) as Box<dyn PackingAlgorithm>),
-            (TickPolicy::BestFit, Box::new(BestFit::new())),
-            (TickPolicy::WorstFit, Box::new(WorstFit::new())),
+        for mut linear in [
+            Box::new(FirstFit::new()) as Box<dyn PackingAlgorithm>,
+            Box::new(BestFit::new()),
+            Box::new(WorstFit::new()),
         ] {
-            #[allow(deprecated)] // compat-shim coverage: the legacy auto entry point
-            let auto = run_packing_auto(&inst, policy).expect("fallback run succeeds");
-            let exact = Runner::new(&inst).run(linear.as_mut()).expect("reference run succeeds");
-            prop_assert_eq!(auto, exact, "fallback {} diverged", policy.name());
+            let auto = Runner::new(&inst)
+                .backend(Backend::Auto)
+                .run(linear.as_mut())
+                .expect("fallback run succeeds");
+            let exact = Runner::new(&inst)
+                .backend(Backend::Exact)
+                .run(linear.as_mut())
+                .expect("reference run succeeds");
+            prop_assert_eq!(auto, exact, "fallback {} diverged", linear.name());
         }
     }
 
@@ -479,15 +453,22 @@ proptest! {
         }
     }
 
-    /// `run_packing_auto` on compilable instances takes the tick path
-    /// and still equals the reference exactly.
+    /// A `Backend::Auto` runner on compilable instances takes the
+    /// tick path and still equals the exact reference.
     #[test]
     fn auto_takes_the_tick_path_when_possible(inst in instance_strategy()) {
-        prop_assert!(CompiledInstance::compile(&inst).is_ok());
-        #[allow(deprecated)] // compat-shim coverage: the legacy auto entry point
-        let auto = run_packing_auto(&inst, TickPolicy::FirstFit).unwrap();
-        let exact = Runner::new(&inst).run(&mut FirstFit::new()).unwrap();
-        prop_assert_eq!(auto, exact);
+        let compiled = CompiledInstance::compile(&inst);
+        prop_assert!(compiled.is_ok());
+        let auto = Runner::new(&inst)
+            .backend(Backend::Auto)
+            .run(&mut FirstFit::new())
+            .unwrap();
+        let exact = Runner::new(&inst)
+            .backend(Backend::Exact)
+            .run(&mut FirstFit::new())
+            .unwrap();
+        prop_assert_eq!(&auto, &exact);
+        prop_assert_eq!(auto, compiled.unwrap().run(TickPolicy::FirstFit).unwrap());
     }
 }
 
@@ -512,7 +493,10 @@ fn staircase_tick_equivalence_at_scale() {
     assert_eq!(compiled.time_scale(), 1);
     assert_eq!(compiled.size_scale(), 100);
     let tick = compiled.run(TickPolicy::FirstFit).unwrap();
-    let exact = Runner::new(&inst).run(&mut FirstFit::new()).unwrap();
+    let exact = Runner::new(&inst)
+        .backend(Backend::Exact)
+        .run(&mut FirstFit::new())
+        .unwrap();
     assert_eq!(tick, exact);
     assert!(tick.max_open_bins() >= window as usize / 2);
 }

@@ -24,7 +24,7 @@ use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -135,8 +135,10 @@ struct Shared {
     /// Where a self-connection reaches the wire listener (the bound
     /// address, loopback if it was bound to all interfaces).
     wake_addr: SocketAddr,
-    /// Live client connections, so `stop` can unblock their reads.
-    conns: Mutex<Vec<TcpStream>>,
+    /// Live client connections keyed by connection ordinal, so `stop`
+    /// can unblock their reads. Each handler removes its own entry
+    /// when it returns, so a finished connection keeps no descriptor.
+    conns: Mutex<HashMap<u64, TcpStream>>,
     /// Exposition page (shared with the `MetricsServer` thread).
     page: Option<Arc<Mutex<MetricsRegistry>>>,
     /// When the server started — the zero point of the slow-request
@@ -194,6 +196,22 @@ impl Shared {
     fn request_stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
+    }
+
+    /// The live-connection registry. Every update is one insert,
+    /// remove or drain, so the map stays valid even if a holder
+    /// panicked; the guard is recovered rather than the poison passed
+    /// on, because `stop` also runs from `Drop`.
+    fn conns(&self) -> MutexGuard<'_, HashMap<u64, TcpStream>> {
+        self.conns.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Shuts down every live connection, so handlers blocked in a read
+    /// unblock.
+    fn sever_connections(&self) {
+        for (_, conn) in self.conns().drain() {
+            let _ = conn.shutdown(std::net::Shutdown::Both);
+        }
     }
 
     fn count_events(&self, n: u64) {
@@ -272,7 +290,7 @@ impl DbpServer {
             tenants: Mutex::new(tenants),
             stop: AtomicBool::new(false),
             wake_addr,
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
             page,
             origin: Instant::now(),
             slow,
@@ -339,9 +357,7 @@ impl DbpServer {
     fn shutdown(&mut self) {
         if let Some(handle) = self.accept_handle.take() {
             self.shared.request_stop();
-            for conn in self.shared.conns.lock().unwrap().drain(..) {
-                let _ = conn.shutdown(std::net::Shutdown::Both);
-            }
+            self.shared.sever_connections();
             let _ = handle.join();
         }
         if let Some(server) = self.metrics_server.take() {
@@ -393,20 +409,23 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 // for this connection's slow-request spans.
                 let conn = shared.connections_total.fetch_add(1, Ordering::Relaxed) + 1;
                 if let Ok(clone) = stream.try_clone() {
-                    shared.conns.lock().unwrap().push(clone);
+                    shared.conns().insert(conn, clone);
                 }
                 let conn_shared = Arc::clone(&shared);
-                if let Ok(handle) = std::thread::Builder::new()
+                let spawned = std::thread::Builder::new()
                     .name("dbp-server-conn".into())
                     .spawn(move || {
-                        let _ = serve_connection(&stream, conn_shared, conn);
-                        // `conns` keeps a clone for `stop`, so dropping
-                        // ours would not close the socket: shut it down
-                        // so the peer sees the close now.
-                        let _ = stream.shutdown(std::net::Shutdown::Both);
-                    })
-                {
-                    workers.push(handle);
+                        let _ = serve_connection(&stream, Arc::clone(&conn_shared), conn);
+                        linger_close(&stream);
+                        // Dropping the registry's clone here and ours on
+                        // return closes the socket.
+                        conn_shared.conns().remove(&conn);
+                    });
+                match spawned {
+                    Ok(handle) => workers.push(handle),
+                    Err(_) => {
+                        shared.conns().remove(&conn);
+                    }
                 }
                 workers.retain(|h| !h.is_finished());
             }
@@ -415,11 +434,38 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
     // Sever live connections so workers blocked in a read unblock
     // (wire-initiated shutdowns reach here with clients still parked).
-    for conn in shared.conns.lock().unwrap().drain(..) {
-        let _ = conn.shutdown(std::net::Shutdown::Both);
-    }
+    shared.sever_connections();
     for handle in workers {
         let _ = handle.join();
+    }
+}
+
+/// How long a finished connection keeps draining what its peer still
+/// sends before the socket closes.
+const LINGER: Duration = Duration::from_millis(100);
+
+/// Most bytes drained from a finished connection before it closes.
+const LINGER_BYTES: usize = 1 << 20;
+
+/// Ends a finished connection so the peer can read to the end: a FIN
+/// first, then a short, bounded drain of what the peer already sent.
+/// Closing a socket with unread bytes answers with a reset, which the
+/// peer may see in place of the last response (a refusal, say) and of
+/// the end of the stream.
+fn linger_close(stream: &TcpStream) {
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let deadline = Instant::now() + LINGER;
+    let mut buf = [0u8; 8192];
+    let mut drained = 0;
+    while drained < LINGER_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        match (&*stream).read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => drained += n,
+        }
     }
 }
 
@@ -839,6 +885,51 @@ fn handle_shutdown(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Polls `done` until it holds, failing after ten seconds.
+    fn wait_for(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn finished_connections_leave_the_registry_and_stop_severs_live_ones() {
+        let server = DbpServer::start(ServerConfig::default()).unwrap();
+        let addr = server.local_addr();
+        let shared = Arc::clone(&server.shared);
+        for _ in 0..16 {
+            drop(TcpStream::connect(addr).unwrap());
+        }
+        wait_for("every closed connection to deregister", || {
+            shared.connections_total.load(Ordering::SeqCst) == 16 && shared.conns().is_empty()
+        });
+
+        // A connection that never sends a frame parks its handler in
+        // a read; only `stop` can release it.
+        let mut parked = TcpStream::connect(addr).unwrap();
+        wait_for("the parked connection to register", || {
+            shared.conns().len() == 1
+        });
+        parked
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        server.stop();
+        assert!(shared.conns().is_empty());
+        let mut byte = [0u8; 1];
+        match parked.read(&mut byte) {
+            Ok(n) => assert_eq!(n, 0, "severed connection reads EOF"),
+            Err(e) => assert!(
+                !matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ),
+                "parked connection was not severed: {e}"
+            ),
+        }
+    }
 
     #[test]
     fn oversized_frame_before_hello_is_refused_unread() {

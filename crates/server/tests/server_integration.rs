@@ -545,9 +545,12 @@ fn oversized_frame_before_hello_is_refused() {
         .unwrap();
     let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
     let mut writer = stream;
-    writer
-        .write_all(format!("{}\n", 64u64 << 20).as_bytes())
-        .unwrap();
+    // The length line and the first 64 KiB of the payload it
+    // announces: the daemon reads neither payload byte, and the
+    // refusal must still end in a clean EOF, not a reset.
+    let mut wire = format!("{}\n", 64u64 << 20).into_bytes();
+    wire.resize(wire.len() + (64 << 10), b'x');
+    writer.write_all(&wire).unwrap();
     writer.flush().unwrap();
 
     let mut scratch = Vec::new();
